@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv).ok()) return 1;
   ApplyThreadsFlag(flags);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
+  flags.RejectUnreadFlags();
 
   data::SyntheticWorld world(data::SyntheticConfig::AmazonLike());
   data::CrossDomainDataset cross = world.MakePair("Books", "Movies");

@@ -427,16 +427,18 @@ int main(int argc, char** argv) {
   g_reps = flags.GetInt("reps", 3);
   ApplyThreadsFlag(flags);
   std::string out_path = flags.GetString("out", "BENCH_auxgen.json");
-
-  if (flags.GetBool("million_smoke", false)) {
-    return RunMillionSmoke(
-        flags.GetInt("users", 1000000), flags.GetDouble("max_rss_mb", 2048.0),
-        flags.GetString("workdir", "/tmp/omnimatch_million"), out_path);
-  }
-
+  bool million_smoke = flags.GetBool("million_smoke", false);
+  int users = flags.GetInt("users", 1000000);
+  double max_rss_mb = flags.GetDouble("max_rss_mb", 2048.0);
+  std::string workdir = flags.GetString("workdir", "/tmp/omnimatch_million");
   bool check = flags.GetBool("check", false);
   double check_speedup_min = flags.GetDouble("check_speedup_min", 10.0);
   int max_users = flags.GetInt("max_users", 100000);
+  flags.RejectUnreadFlags();
+
+  if (million_smoke) {
+    return RunMillionSmoke(users, max_rss_mb, workdir, out_path);
+  }
 
   std::printf("bit-identity pin (Table-2 config)... ");
   std::fflush(stdout);

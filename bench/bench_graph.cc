@@ -1,5 +1,5 @@
-// Eager vs recorded-graph training-step benchmark plus microbenches of the
-// fused kernels the graph compiler emits. Eager and recorded reps are
+// Eager vs recorded-graph training-step benchmark plus a microbench of the
+// GatherReshape fusion the graph compiler emits. Eager and recorded reps are
 // interleaved so clock drift hits both variants equally. Writes a
 // machine-readable BENCH_graph.json with speedup_vs_eager per thread count
 // and the steady-state tensor-node allocation counts (replay must be zero).
@@ -26,7 +26,6 @@
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
-#include "nn/gemm.h"
 #include "obs/metrics.h"
 
 using namespace omnimatch;
@@ -112,6 +111,7 @@ int main(int argc, char** argv) {
   int max_threads = flags.GetInt("max-threads", 4);
   int epochs = flags.GetInt("epochs", 2);
   double check_speedup_min = flags.GetDouble("check_speedup_min", 0.0);
+  flags.RejectUnreadFlags();
   std::vector<int> thread_counts = {1};
   for (int t = 2; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
@@ -186,40 +186,8 @@ int main(int argc, char** argv) {
     step_samples.push_back(sample);
   }
 
-  // --- Fused-kernel microbenches (the kernels the fusion pass emits) ---
+  // --- Fused-kernel microbench (the kernel the fusion pass emits) ---
   std::vector<KernelSample> kernel_samples;
-  {
-    constexpr int kM = 64, kK = 32, kN = 48;
-    Rng rng(1);
-    std::vector<float> a = RandomVec(static_cast<size_t>(kM) * kK, &rng);
-    std::vector<float> b = RandomVec(static_cast<size_t>(kK) * kN, &rng);
-    std::vector<float> bias = RandomVec(kN, &rng);
-    std::vector<float> mm(static_cast<size_t>(kM) * kN, 0.0f);
-    std::vector<float> biased(mm.size(), 0.0f);
-    std::vector<float> relued(mm.size(), 0.0f);
-    std::string name = StrFormat("FusedLinear/%dx%dx%d", kM, kK, kN);
-    for (int threads : {1, max_threads}) {
-      SetNumThreads(threads);
-      // Eager chain: three ops, three output buffers.
-      kernel_samples.push_back({name, "unfused", threads, BenchNs([&] {
-        std::fill(mm.begin(), mm.end(), 0.0f);
-        nn::GemmNN(a.data(), b.data(), mm.data(), kM, kK, kN);
-        for (int r = 0; r < kM; ++r) {
-          for (int c = 0; c < kN; ++c) {
-            size_t i = static_cast<size_t>(r) * kN + static_cast<size_t>(c);
-            biased[i] = mm[i] + bias[static_cast<size_t>(c)];
-          }
-        }
-        for (size_t i = 0; i < biased.size(); ++i) {
-          relued[i] = biased[i] > 0.0f ? biased[i] : 0.0f;
-        }
-      })});
-      kernel_samples.push_back({name, "fused", threads, BenchNs([&] {
-        nn::FusedLinearForward(a.data(), b.data(), bias.data(), relued.data(),
-                               kM, kK, kN, /*relu=*/true);
-      })});
-    }
-  }
   {
     constexpr int kVocab = 2000, kEmbed = 16, kIds = 64 * 32;
     Rng rng(2);

@@ -104,6 +104,7 @@ int main(int argc, char** argv) {
   const double serving_min = flags.GetDouble("serving_min", 1.0);
   const double rmse_delta_max = flags.GetDouble("rmse_delta_max", 0.01);
   ApplyThreadsFlag(flags);
+  flags.RejectUnreadFlags();
 
   std::printf("bench_quant: detected ISA %s, active %s, best compiled %s\n",
               IsaName(DetectedIsa()), IsaName(ActiveIsa()),

@@ -110,6 +110,9 @@ int main(int argc, char** argv) {
   g_reps = flags.GetInt("reps", 5);
   std::string out_path = flags.GetString("out", "BENCH_nn_ops.json");
   int max_threads = flags.GetInt("max-threads", 4);
+  std::string metrics_path =
+      flags.GetString("metrics_out", "BENCH_metrics.jsonl");
+  flags.RejectUnreadFlags();
   std::vector<int> thread_counts = {1};
   for (int t = 2; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
@@ -342,8 +345,6 @@ int main(int argc, char** argv) {
   // Snapshot of everything the always-on counters and the metrics_on
   // training runs accumulated (GEMM calls/flops, pool jobs/chunks, trainer
   // phase histograms) — the machine-readable companion to the table above.
-  std::string metrics_path =
-      flags.GetString("metrics_out", "BENCH_metrics.jsonl");
   if (!obs::MetricsRegistry::Global().WriteJsonLines(metrics_path)) {
     std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
     return 1;

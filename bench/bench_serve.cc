@@ -189,6 +189,7 @@ int main(int argc, char** argv) {
   options.executors = flags.GetInt("executors", 4);
   options.max_queue = static_cast<size_t>(flags.GetInt("max_queue", 256));
   options.deadline_ms = flags.GetInt("deadline_ms", 50);
+  flags.RejectUnreadFlags();
 
   // --- Train a small model; checkpoint A, then one more epoch for the
   // hot-swap candidate B (same config fingerprint, different version) ---

@@ -38,6 +38,8 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv).ok()) return 1;
   ApplyThreadsFlag(flags);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
+  int epochs = flags.GetInt("epochs", 8);
+  flags.RejectUnreadFlags();
 
   data::SyntheticWorld world(data::SyntheticConfig::AmazonLike());
   data::CrossDomainDataset cross = world.MakePair("Movies", "Music");
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
     for (float value : sweep) {
       core::OmniMatchConfig config;
       config.seed = seed + 31;
-      config.epochs = flags.GetInt("epochs", 8);
+      config.epochs = epochs;
       if (which == 0) {
         config.alpha = value;
         config.beta = 0.1f;  // fixed per §5.8

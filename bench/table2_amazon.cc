@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
   // Recorded-graph step execution (bit-identical to eager; see DESIGN.md).
   options.omnimatch.graph_exec = flags.GetBool("graph_exec", false);
+  flags.RejectUnreadFlags();
 
   std::printf(
       "Table 2 — Amazon-like corpus, %d trial(s) per scenario "

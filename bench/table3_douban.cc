@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   eval::RunnerOptions options;
   options.trials = flags.GetInt("trials", 1);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 131));
+  flags.RejectUnreadFlags();
 
   std::printf(
       "Table 3 — Douban-like corpus, %d trial(s) per scenario "

@@ -18,6 +18,9 @@ int main(int argc, char** argv) {
   FlagParser flags;
   if (!flags.Parse(argc, argv).ok()) return 1;
   ApplyThreadsFlag(flags);
+  int trials = flags.GetInt("trials", 1);
+  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
+  flags.RejectUnreadFlags();
 
   data::SyntheticWorld world(data::SyntheticConfig::AmazonLike());
   const std::vector<std::pair<std::string, std::string>> scenarios = {
@@ -40,8 +43,8 @@ int main(int argc, char** argv) {
     for (size_t f = 0; f < fractions.size(); ++f) {
       eval::RunnerOptions options;
       options.methods = methods;
-      options.trials = flags.GetInt("trials", 1);
-      options.seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
+      options.trials = trials;
+      options.seed = seed;
       options.train_user_fraction = fractions[f];
       eval::ScenarioResult result =
           eval::RunScenario(world, source, target, options);

@@ -37,6 +37,11 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv).ok()) return 1;
   ApplyThreadsFlag(flags);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
+  int epochs = flags.GetInt("epochs", 8);
+  // Recorded-graph step execution: changes wall-clock only, never the
+  // trained weights (bit-identical to eager; see DESIGN.md).
+  bool graph_exec = flags.GetBool("graph_exec", false);
+  flags.RejectUnreadFlags();
 
   data::SyntheticWorld world(data::SyntheticConfig::AmazonLike());
   const std::vector<std::pair<std::string, std::string>> scenarios = {
@@ -57,10 +62,8 @@ int main(int argc, char** argv) {
     full.seed = seed;
     // Timing comparisons want identical epoch counts, not best-epoch extras.
     full.select_best_epoch = false;
-    full.epochs = flags.GetInt("epochs", 8);
-    // Recorded-graph step execution: changes wall-clock only, never the
-    // trained weights (bit-identical to eager; see DESIGN.md).
-    full.graph_exec = flags.GetBool("graph_exec", false);
+    full.epochs = epochs;
+    full.graph_exec = graph_exec;
 
     core::OmniMatchConfig no_da = full;
     no_da.use_domain_adversarial = false;

@@ -25,12 +25,6 @@ int main(int argc, char** argv) {
   std::string source = flags.GetString("source", "Books");
   std::string target = flags.GetString("target", "Movies");
   std::string dataset = flags.GetString("dataset", "amazon");
-
-  data::SyntheticConfig data_config =
-      dataset == "douban" ? data::SyntheticConfig::DoubanLike()
-                          : data::SyntheticConfig::AmazonLike();
-  data::SyntheticWorld world(data_config);
-
   eval::RunnerOptions options;
   if (flags.Has("methods")) {
     options.methods.clear();
@@ -42,6 +36,12 @@ int main(int argc, char** argv) {
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 99));
   options.omnimatch.epochs =
       flags.GetInt("epochs", options.omnimatch.epochs);
+  flags.RejectUnreadFlags();
+
+  data::SyntheticConfig data_config =
+      dataset == "douban" ? data::SyntheticConfig::DoubanLike()
+                          : data::SyntheticConfig::AmazonLike();
+  data::SyntheticWorld world(data_config);
   eval::ScenarioResult result =
       eval::RunScenario(world, source, target, options);
 

@@ -22,13 +22,17 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv).ok()) return 1;
   ApplyThreadsFlag(flags);
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  // Default: the first cold-start test user of the split.
+  const bool has_user = flags.Has("user");
+  int user = flags.GetInt("user", 0);
+  flags.RejectUnreadFlags();
 
   data::SyntheticWorld world(data::SyntheticConfig::AmazonLike());
   data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
   Rng split_rng(seed);
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &split_rng);
 
-  int user = flags.GetInt("user", split.test_users.front());
+  if (!has_user) user = split.test_users.front();
   std::printf("Case study (paper §5.10): auxiliary review generation for "
               "cold-start user %d under %s\n\n",
               user, cross.ScenarioName().c_str());

@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
 
   std::string source_path = flags.GetString("source", "");
   std::string target_path = flags.GetString("target", "");
+  int epochs = flags.GetInt("epochs", 6);
+  flags.RejectUnreadFlags();
 
   if (source_path.empty() || target_path.empty()) {
     // No files supplied: materialize a small corpus to show the format.
@@ -72,7 +74,7 @@ int main(int argc, char** argv) {
   Rng rng(17);
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
   core::OmniMatchConfig config;
-  config.epochs = flags.GetInt("epochs", 6);
+  config.epochs = epochs;
   config.embed_dim = 16;
   config.cnn_channels = 12;
   config.feature_dim = 24;

@@ -47,9 +47,43 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Configure OmniMatch; every flag is read before any work starts.
+  core::OmniMatchConfig config;
+  config.epochs = flags.GetInt("epochs", config.epochs);
+  config.learning_rate = static_cast<float>(
+      flags.GetDouble("lr", config.learning_rate));
+  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  config.verbose = flags.GetBool("verbose", false);
+  config.dropout = static_cast<float>(
+      flags.GetDouble("dropout", config.dropout));
+  config.aux_augmentation_prob = static_cast<float>(
+      flags.GetDouble("aux_prob", config.aux_augmentation_prob));
+  config.alpha = static_cast<float>(flags.GetDouble("alpha", config.alpha));
+  config.beta = static_cast<float>(flags.GetDouble("beta", config.beta));
+  float adam_lr =
+      static_cast<float>(flags.GetDouble("adam_lr", config.adam_lr));
+  if (flags.GetBool("adam", false)) {
+    config.optimizer = core::OptimizerKind::kAdam;
+    config.adam_lr = adam_lr;
+  }
+  config.checkpoint_every = flags.GetInt("checkpoint_every", 0);
+  config.checkpoint_dir = flags.GetString("checkpoint_dir", "checkpoints");
+  config.guard_enabled = flags.GetBool("guard", config.guard_enabled);
+  config.max_recoveries = flags.GetInt("max_recoveries",
+                                       config.max_recoveries);
+  config.lr_backoff = static_cast<float>(
+      flags.GetDouble("lr_backoff", config.lr_backoff));
+  config.metrics_out = flags.GetString("metrics_out", "");
+  config.trace_out = flags.GetString("trace_out", "");
+  const bool resume = flags.Has("resume");
+  const std::string resume_flag = flags.GetString("resume", "");
+  const bool eval_train = flags.GetBool("eval_train", false);
+  const bool oracle_docs = flags.GetBool("oracle_docs", false);
+  flags.RejectUnreadFlags();
+
   // 1. Generate a small Amazon-like world and pick a scenario.
   data::SyntheticConfig data_config = data::SyntheticConfig::AmazonLike();
-  data_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  data_config.seed = config.seed;
   data::SyntheticWorld world(data_config);
   data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
   std::printf("Scenario %s: %zu source reviews, %zu target reviews, %zu "
@@ -64,43 +98,17 @@ int main(int argc, char** argv) {
               split.train_users.size(), split.validation_users.size(),
               split.test_users.size());
 
-  // 3. Configure and train OmniMatch.
-  core::OmniMatchConfig config;
-  config.epochs = flags.GetInt("epochs", config.epochs);
-  config.learning_rate = static_cast<float>(
-      flags.GetDouble("lr", config.learning_rate));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  config.verbose = flags.GetBool("verbose", false);
-  config.dropout = static_cast<float>(
-      flags.GetDouble("dropout", config.dropout));
-  config.aux_augmentation_prob = static_cast<float>(
-      flags.GetDouble("aux_prob", config.aux_augmentation_prob));
-  config.alpha = static_cast<float>(flags.GetDouble("alpha", config.alpha));
-  config.beta = static_cast<float>(flags.GetDouble("beta", config.beta));
-  if (flags.GetBool("adam", false)) {
-    config.optimizer = core::OptimizerKind::kAdam;
-    config.adam_lr = static_cast<float>(
-        flags.GetDouble("adam_lr", config.adam_lr));
-  }
-  config.checkpoint_every = flags.GetInt("checkpoint_every", 0);
-  config.checkpoint_dir = flags.GetString("checkpoint_dir", "checkpoints");
-  config.guard_enabled = flags.GetBool("guard", config.guard_enabled);
-  config.max_recoveries = flags.GetInt("max_recoveries",
-                                       config.max_recoveries);
-  config.lr_backoff = static_cast<float>(
-      flags.GetDouble("lr_backoff", config.lr_backoff));
-  config.metrics_out = flags.GetString("metrics_out", "");
-  config.trace_out = flags.GetString("trace_out", "");
+  // 3. Train OmniMatch.
   core::OmniMatchTrainer trainer(config, &cross, split);
   Status status = trainer.Prepare();
   if (!status.ok()) {
     std::fprintf(stderr, "Prepare failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  if (flags.Has("resume")) {
+  if (resume) {
     // Bare --resume picks the newest checkpoint in the checkpoint dir;
     // --resume=<path> loads that exact file.
-    std::string resume_path = flags.GetString("resume", "");
+    std::string resume_path = resume_flag;
     if (resume_path.empty() || resume_path == "true") {
       Result<std::string> latest =
           core::FindLatestCheckpoint(config.checkpoint_dir);
@@ -148,12 +156,12 @@ int main(int argc, char** argv) {
   }
 
   // 4. Evaluate on the cold-start validation and test users.
-  if (flags.GetBool("eval_train", false)) {
+  if (eval_train) {
     eval::Metrics train_metrics = trainer.Evaluate(split.train_users);
     std::printf("train-user RMSE %.3f MAE %.3f (in-sample, real target docs)\n",
                 train_metrics.rmse, train_metrics.mae);
   }
-  if (flags.GetBool("oracle_docs", false)) {
+  if (oracle_docs) {
     trainer.UseOracleTargetDocs(split.validation_users);
     trainer.UseOracleTargetDocs(split.test_users);
   }

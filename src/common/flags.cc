@@ -49,41 +49,57 @@ Status FlagParser::Parse(int argc, char** argv) {
   return Status::OK();
 }
 
+const std::string* FlagParser::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool FlagParser::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value : *value;
 }
 
 int FlagParser::GetInt(const std::string& name, int default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* text = Find(name);
+  if (text == nullptr) return default_value;
   int value = 0;
-  if (!ParseInt32(it->second, &value)) {
-    FatalFlagError(name, it->second, "an in-range decimal integer");
+  if (!ParseInt32(*text, &value)) {
+    FatalFlagError(name, *text, "an in-range decimal integer");
   }
   return value;
 }
 
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* text = Find(name);
+  if (text == nullptr) return default_value;
   double value = 0.0;
-  if (!ParseDouble(it->second, &value)) {
-    FatalFlagError(name, it->second, "a decimal number");
+  if (!ParseDouble(*text, &value)) {
+    FatalFlagError(name, *text, "a decimal number");
   }
   return value;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = Find(name);
+  if (value == nullptr) return default_value;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+void FlagParser::RejectUnreadFlags() const {
+  bool unread = false;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) != 0) continue;
+    std::fprintf(stderr, "omnimatch: unknown flag --%s\n", name.c_str());
+    unread = true;
+  }
+  if (unread) std::exit(2);
 }
 
 int ApplyThreadsFlag(const FlagParser& flags) {

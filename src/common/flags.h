@@ -2,6 +2,7 @@
 #define OMNIMATCH_COMMON_FLAGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,9 @@ namespace omnimatch {
 ///
 /// Accepts `--name=value` and `--name value`; bare `--name` is treated as
 /// boolean true. Anything not starting with `--` is a positional argument.
+/// Every Has/Get* call marks its flag as read; RejectUnreadFlags() then
+/// turns a misspelled or unsupported flag into an exit instead of a run
+/// that silently ignored it.
 class FlagParser {
  public:
   /// Parses argv. Returns InvalidArgument on malformed input.
@@ -30,11 +34,19 @@ class FlagParser {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
+  /// Call after the binary's last Has/Get*: prints every given flag that
+  /// none of them read and exits with status 2 if there is one.
+  void RejectUnreadFlags() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// Looks `name` up and marks it read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 /// Reads the shared `--threads` flag (0 = all hardware threads) and sizes

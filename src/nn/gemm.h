@@ -37,9 +37,9 @@ void GemmTN(const float* a, const float* b, float* c, int m_dim, int k_dim,
 
 /// Fused linear layer: C[M,N] = A[M,K] * B[K,N] + bias[N], optionally
 /// followed by ReLU. Zeroes C, runs GemmNN, then applies the bias/ReLU
-/// epilogue in one pass over C — the graph executor's kFusedLinear kernel
-/// (eager MatMul + AddRowBroadcast + Relu collapsed into one call, bit-
-/// identical to the unfused sequence at every thread count).
+/// epilogue in one pass over C — bit-identical to the eager MatMul +
+/// AddRowBroadcast + Relu sequence at every thread count. The serving
+/// rating head (serve/quant_head.cc) runs its float layers through it.
 void FusedLinearForward(const float* a, const float* b, const float* bias,
                         float* c, int m_dim, int k_dim, int n_dim, bool relu);
 

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <climits>
-#include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/threadpool.h"
-#include "nn/elemwise.h"
-#include "nn/gemm.h"
+#include "nn/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -47,31 +45,7 @@ constexpr size_t kMaxRecordedCalls = size_t{1} << 20;
 
 }  // namespace
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kLeaf: return "Leaf";
-    case OpKind::kAdd: return "Add";
-    case OpKind::kMul: return "Mul";
-    case OpKind::kScale: return "Scale";
-    case OpKind::kAddRowBroadcast: return "AddRowBroadcast";
-    case OpKind::kRelu: return "Relu";
-    case OpKind::kReshape: return "Reshape";
-    case OpKind::kDropout: return "Dropout";
-    case OpKind::kMatMul: return "MatMul";
-    case OpKind::kConcatCols: return "ConcatCols";
-    case OpKind::kConcatRows: return "ConcatRows";
-    case OpKind::kGather: return "Gather";
-    case OpKind::kMeanAxis1: return "MeanAxis1";
-    case OpKind::kGradReverse: return "GradReverse";
-    case OpKind::kTextConvMaxPool: return "TextConvMaxPool";
-    case OpKind::kSoftmaxCrossEntropy: return "SoftmaxCrossEntropy";
-    case OpKind::kSupConLoss: return "SupConLoss";
-    case OpKind::kFusedLinear: return "FusedLinear";
-    case OpKind::kGatherReshape: return "GatherReshape";
-    case OpKind::kNop: return "Nop";
-  }
-  return "Unknown";
-}
+const char* OpKindName(OpKind kind) { return kernels::Info(kind).name; }
 
 std::vector<int64_t> FirstFitArena(const std::vector<ArenaRequest>& requests,
                                    int64_t* total_bytes) {
@@ -105,15 +79,14 @@ std::vector<int64_t> FirstFitArena(const std::vector<ArenaRequest>& requests,
 
 /// One IR node: either an interned leaf (parameter / input tensor) or one
 /// recorded op call. After the pass pipeline a node may additionally be a
-/// fusion tail (kind kFusedLinear/kGatherReshape executing a whole chain),
-/// a fused-away member (kind kNop), or dead (live == false).
+/// fusion tail (kind kGatherReshape, executing its chain head's kernel), a
+/// fused-away member (kind kNop), or dead (live == false).
 struct Node {
   OpKind call_kind = OpKind::kLeaf;  // matched against the op-call stream
   OpKind kind = OpKind::kLeaf;       // what actually executes
   bool is_op = false;                // recorded op (false: interned leaf)
   bool live = true;                  // false after dead-node elimination
   bool req_grad = false;
-  bool fused_relu = false;  // FusedLinear tail: chain ended in a Relu
   // Pre-scheduled chunking decision: true when the node's recorded work is
   // too small to amortize a pool dispatch, so its kernels (forward and
   // backward) run inside a SerialRegion. Bit-identical either way by the
@@ -122,37 +95,33 @@ struct Node {
 
   std::vector<int> inputs;   // node ids as the call stream presented them
   std::vector<char> in_req;  // input requires_grad at record time
-  std::vector<int> xinputs;  // fusion tail: the chain's true data inputs
-  std::vector<char> xin_req;
-  std::vector<int> members;  // fusion tail: fused-away member node ids
-  int fused_tail = -1;       // member: tail node executing its work
+  // Fusion tail: the chain head whose kernel, inputs and attributes it
+  // executes, writing the tail's own buffers.
+  int head = -1;
 
   std::vector<int> shape;
   int64_t numel = 0;
-  int fpos = -1;     // index in Plan::call_order
-  int bwd_pos = -1;  // index in Plan::bwd (-1: no backward step)
+  int fpos = -1;  // index in Plan::call_order
   std::shared_ptr<TensorImpl> impl;
 
   // Attributes. f0 and ints are dynamic (copied from the live call each
   // step); i0, rng and shape_attr are static and verified on replay.
   float f0 = 0.0f;  // Scale s / Dropout p / GradReverse lambda / SupCon tau
   int i0 = 0;       // TextConvMaxPool kernel_size
-  int i1 = 0;       // SupConLoss valid_anchors (recomputed each forward)
   Rng* rng = nullptr;
   std::vector<int> ints;        // Gather ids / loss labels
   std::vector<int> shape_attr;  // Reshape target shape
 
   // Arena placement in floats (-1: backed by impl storage — leaves and
-  // scalars). scratch holds the conv score slabs / FusedLinear relu mask.
+  // scalars). scratch holds the op row's forward-only scratch (the conv
+  // score slabs).
   int64_t data_off = -1;
   int64_t grad_off = -1;
   int64_t scratch_off = -1;
 
-  // Plan-owned op workspaces, sized once at compile and reused every step
-  // (dropout mask, softmax probs, SupCon intermediates, conv argmax).
-  std::vector<float> ws0, ws1, ws2, ws3, ws4, ws5, ws6, ws7;
-  std::vector<double> dws0;
-  std::vector<int> iws0, iws1;
+  // Plan-owned op workspace, sized once at compile by the op's row and
+  // reused every step.
+  kernels::Workspace ws;
 };
 
 /// A compiled step: the node IR, the forward call order, the backward
@@ -176,6 +145,10 @@ struct Plan {
 
   std::vector<float> arena;
   int64_t arena_bytes = 0;
+
+  // Reused for every kernel call, so binding allocates nothing once its
+  // operand list has grown to the widest node.
+  kernels::Call call;
 };
 
 /// One StepScope's state: either recording into `rec` or replaying `plan`.
@@ -218,734 +191,60 @@ float* NodeGrad(Plan& p, int id) {
   return n.impl->grad.data();
 }
 
-/// Runs one node's forward kernel on the plan's buffers. Each case is a
-/// transcription of the matching eager kernel in ops.cc/losses.cc — same
-/// loops, same grains, same accumulation order — so a replayed step is
-/// bit-identical to the eager step it was recorded from.
-void ExecForward(Plan& p, int id) {
+/// The node whose kernel inputs and attributes `n` executes with: itself,
+/// or its chain head for a fusion tail.
+const Node& Head(const Plan& p, const Node& n) {
+  return n.head >= 0 ? p.nodes[n.head] : n;
+}
+
+/// Which buffers BindCall binds: shapes and attributes only (compile-time
+/// sizing), forward (all data), or backward (grads plus the data the op's
+/// row lists in bwd_reads).
+enum class Bind { kShapes, kForward, kBackward };
+
+/// Binds node `id` as a kernel call on the plan's buffers.
+const kernels::Call& BindCall(Plan& p, int id, Bind mode) {
   Node& n = p.nodes[id];
-  float* out = NodeData(p, id);
-  switch (n.kind) {
-    case OpKind::kAdd: {
-      const float* a = NodeData(p, n.inputs[0]);
-      const float* b = NodeData(p, n.inputs[1]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
-      });
-      break;
-    }
-    case OpKind::kMul: {
-      const float* a = NodeData(p, n.inputs[0]);
-      const float* b = NodeData(p, n.inputs[1]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
-      });
-      break;
-    }
-    case OpKind::kScale: {
-      const float* a = NodeData(p, n.inputs[0]);
-      float s = n.f0;
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = a[i] * s;
-      });
-      break;
-    }
-    case OpKind::kAddRowBroadcast: {
-      int rows = n.shape[0];
-      int cols = n.shape[1];
-      const float* mv = NodeData(p, n.inputs[0]);
-      const float* rv = NodeData(p, n.inputs[1]);
-      ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-                  [&](int64_t r0, int64_t r1) {
-                    for (int64_t r = r0; r < r1; ++r) {
-                      const float* src = mv + static_cast<size_t>(r) * cols;
-                      float* dst = out + static_cast<size_t>(r) * cols;
-                      for (int c = 0; c < cols; ++c) dst[c] = src[c] + rv[c];
-                    }
-                  });
-      break;
-    }
-    case OpKind::kRelu: {
-      const float* x = NodeData(p, n.inputs[0]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      });
-      break;
-    }
-    case OpKind::kReshape:
-    case OpKind::kGradReverse: {
-      const float* x = NodeData(p, n.inputs[0]);
-      std::copy(x, x + n.numel, out);
-      break;
-    }
-    case OpKind::kDropout: {
-      const float* x = NodeData(p, n.inputs[0]);
-      float keep_scale = 1.0f / (1.0f - n.f0);
-      float* mask = n.ws0.data();
-      size_t count = static_cast<size_t>(n.numel);
-      // Serial, one Bernoulli per element: consumes the caller's RNG stream
-      // exactly like the eager op.
-      for (size_t i = 0; i < count; ++i) {
-        mask[i] = n.rng->Bernoulli(n.f0) ? 0.0f : keep_scale;
-        out[i] = x[i] * mask[i];
-      }
-      break;
-    }
-    case OpKind::kMatMul: {
-      const Node& a = p.nodes[n.inputs[0]];
-      const Node& b = p.nodes[n.inputs[1]];
-      int m = a.shape[0], k = a.shape[1], cols = b.shape[1];
-      std::fill(out, out + n.numel, 0.0f);
-      GemmNN(NodeData(p, n.inputs[0]), NodeData(p, n.inputs[1]), out, m, k,
-             cols);
-      break;
-    }
-    case OpKind::kFusedLinear: {
-      const Node& x = p.nodes[n.xinputs[0]];
-      const Node& w = p.nodes[n.xinputs[1]];
-      FusedLinearForward(NodeData(p, n.xinputs[0]), NodeData(p, n.xinputs[1]),
-                         NodeData(p, n.xinputs[2]), out, x.shape[0],
-                         x.shape[1], w.shape[1], n.fused_relu);
-      break;
-    }
-    case OpKind::kConcatCols: {
-      int rows = n.shape[0];
-      int total_cols = n.shape[1];
-      int col_offset = 0;
-      for (int pid : n.inputs) {
-        const Node& part = p.nodes[pid];
-        int cols = part.shape[1];
-        const float* pv = NodeData(p, pid);
-        for (int r = 0; r < rows; ++r) {
-          std::copy(pv + static_cast<size_t>(r) * cols,
-                    pv + static_cast<size_t>(r + 1) * cols,
-                    out + static_cast<size_t>(r) * total_cols + col_offset);
-        }
-        col_offset += cols;
-      }
-      break;
-    }
-    case OpKind::kConcatRows: {
-      size_t offset = 0;
-      for (int pid : n.inputs) {
-        const Node& part = p.nodes[pid];
-        const float* pv = NodeData(p, pid);
-        std::copy(pv, pv + part.numel, out + offset);
-        offset += static_cast<size_t>(part.numel);
-      }
-      break;
-    }
-    case OpKind::kGather:
-    case OpKind::kGatherReshape: {
-      bool fused = n.kind == OpKind::kGatherReshape;
-      int table_id = fused ? n.xinputs[0] : n.inputs[0];
-      const std::vector<int>& ids =
-          fused ? p.nodes[n.members[0]].ints : n.ints;
-      const Node& tbl = p.nodes[table_id];
-      int vocab = tbl.shape[0];
-      int width = tbl.shape[1];
-      for (int id_r : ids) {
-        OM_CHECK(id_r >= 0 && id_r < vocab)
-            << "Gather id " << id_r << " of " << vocab;
-      }
-      const float* tv = NodeData(p, table_id);
-      ParallelFor(0, static_cast<int64_t>(ids.size()),
-                  std::max<int64_t>(1, kElemGrain / width),
-                  [&](int64_t r0, int64_t r1) {
-                    for (int64_t r = r0; r < r1; ++r) {
-                      std::copy(tv + static_cast<size_t>(ids[r]) * width,
-                                tv + static_cast<size_t>(ids[r] + 1) * width,
-                                out + static_cast<size_t>(r) * width);
-                    }
-                  });
-      break;
-    }
-    case OpKind::kMeanAxis1: {
-      const Node& in = p.nodes[n.inputs[0]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int width = in.shape[2];
-      const float* xv = NodeData(p, n.inputs[0]);
-      float inv = 1.0f / static_cast<float>(length);
-      int64_t per_doc = static_cast<int64_t>(length) * width;
-      std::fill(out, out + n.numel, 0.0f);
-      ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-                  [&](int64_t b0, int64_t b1) {
-                    for (int64_t b = b0; b < b1; ++b) {
-                      float* orow = out + static_cast<size_t>(b) * width;
-                      for (int l = 0; l < length; ++l) {
-                        const float* row =
-                            xv + (static_cast<size_t>(b) * length + l) * width;
-                        for (int e = 0; e < width; ++e) orow[e] += row[e];
-                      }
-                      for (int e = 0; e < width; ++e) orow[e] *= inv;
-                    }
-                  });
-      break;
-    }
-    case OpKind::kTextConvMaxPool: {
-      const Node& in = p.nodes[n.inputs[0]];
-      const Node& wn = p.nodes[n.inputs[1]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int embed = in.shape[2];
-      int channels = wn.shape[0];
-      int filter_len = n.i0 * embed;
-      int windows = length - n.i0 + 1;
-      const float* x = NodeData(p, n.inputs[0]);
-      const float* w = NodeData(p, n.inputs[1]);
-      const float* bvec = NodeData(p, n.inputs[2]);
-      int* argmax = n.iws0.data();
-      // Per-document score slabs live in the arena (the eager op allocates
-      // a scores vector per pool chunk instead).
-      int64_t slab = static_cast<int64_t>(windows) * channels;
-      float* scratch = p.arena.data() + n.scratch_off;
-      ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          float* scores = scratch + b * slab;
-          std::fill(scores, scores + slab, 0.0f);
-          const float* doc = x + static_cast<size_t>(b) * length * embed;
-          GemmNTStrided(doc, embed, w, scores, windows, filter_len, channels);
-          for (int c = 0; c < channels; ++c) {
-            float best = scores[c];
-            int best_t = 0;
-            for (int t = 1; t < windows; ++t) {
-              float v = scores[static_cast<size_t>(t) * channels + c];
-              if (v > best) {
-                best = v;
-                best_t = t;
-              }
-            }
-            best += bvec[c];
-            out[static_cast<size_t>(b) * channels + c] =
-                best > 0.0f ? best : 0.0f;
-            argmax[static_cast<size_t>(b) * channels + c] = best_t;
-          }
-        }
-      });
-      break;
-    }
-    case OpKind::kSoftmaxCrossEntropy: {
-      const Node& ln = p.nodes[n.inputs[0]];
-      int batch = ln.shape[0];
-      int classes = ln.shape[1];
-      const std::vector<int>& labels = n.ints;
-      for (int y : labels) OM_CHECK(y >= 0 && y < classes) << "label " << y;
-      const float* x = NodeData(p, n.inputs[0]);
-      float* probs = n.ws0.data();
-      float* row_loss = n.ws1.data();
-      ParallelFor(0, batch, 64, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          const float* row = x + static_cast<size_t>(b) * classes;
-          float* prow = probs + static_cast<size_t>(b) * classes;
-          float max_v = row[0];
-          for (int c = 1; c < classes; ++c) max_v = std::max(max_v, row[c]);
-          float sum = 0.0f;
-          for (int c = 0; c < classes; ++c) {
-            prow[c] = std::exp(row[c] - max_v);
-            sum += prow[c];
-          }
-          float inv = 1.0f / sum;
-          for (int c = 0; c < classes; ++c) prow[c] *= inv;
-          row_loss[b] = -std::log(std::max(prow[labels[b]], 1e-12f));
-        }
-      });
-      double total = 0.0;
-      for (int b = 0; b < batch; ++b) total += row_loss[b];
-      out[0] = static_cast<float>(total / batch);
-      break;
-    }
-    case OpKind::kSupConLoss: {
-      const Node& fn = p.nodes[n.inputs[0]];
-      int batch = fn.shape[0];
-      int dim = fn.shape[1];
-      const std::vector<int>& labels = n.ints;
-      const float* z = NodeData(p, n.inputs[0]);
-      float* norm_feats = n.ws0.data();
-      float* norms = n.ws1.data();
-      float* sims = n.ws2.data();
-      float* probs = n.ws3.data();
-      float* lse = n.ws4.data();
-      double* anchor_loss = n.dws0.data();
-      int* pos_count = n.iws1.data();
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float* row = z + static_cast<size_t>(i) * dim;
-          double sq = 0.0;
-          for (int d = 0; d < dim; ++d) {
-            sq += static_cast<double>(row[d]) * row[d];
-          }
-          float norm = static_cast<float>(std::sqrt(sq)) + 1e-8f;
-          norms[i] = norm;
-          float* nrow = norm_feats + static_cast<size_t>(i) * dim;
-          for (int d = 0; d < dim; ++d) nrow[d] = row[d] / norm;
-        }
-      });
-      const float inv_tau = 1.0f / n.f0;
-      size_t bb = static_cast<size_t>(batch) * batch;
-      std::fill(sims, sims + bb, 0.0f);
-      GemmNT(norm_feats, norm_feats, sims, batch, dim, batch);
-      for (size_t i = 0; i < bb; ++i) sims[i] *= inv_tau;
-      // probs was zeroed at compile; the diagonal is only ever multiplied
-      // (never written), so it stays exactly 0.0f across steps — the same
-      // value the eager op's fresh zero-initialized buffer holds.
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          float max_v = -1e30f;
-          for (int j = 0; j < batch; ++j) {
-            if (j != i) {
-              max_v =
-                  std::max(max_v, sims[static_cast<size_t>(i) * batch + j]);
-            }
-          }
-          double sum = 0.0;
-          for (int j = 0; j < batch; ++j) {
-            if (j == i) continue;
-            double e =
-                std::exp(sims[static_cast<size_t>(i) * batch + j] - max_v);
-            probs[static_cast<size_t>(i) * batch + j] = static_cast<float>(e);
-            sum += e;
-          }
-          lse[i] = max_v + static_cast<float>(std::log(sum));
-          float inv = static_cast<float>(1.0 / sum);
-          for (int j = 0; j < batch; ++j) {
-            probs[static_cast<size_t>(i) * batch + j] *= inv;
-          }
-        }
-      });
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int cnt = 0;
-          double pos_sum = 0.0;
-          for (int j = 0; j < batch; ++j) {
-            if (j != i && labels[j] == labels[i]) {
-              ++cnt;
-              pos_sum += sims[static_cast<size_t>(i) * batch + j];
-            }
-          }
-          pos_count[i] = cnt;
-          if (cnt > 0) anchor_loss[i] = -(pos_sum / cnt - lse[i]);
-        }
-      });
-      int valid_anchors = 0;
-      double total = 0.0;
-      for (int i = 0; i < batch; ++i) {
-        if (pos_count[i] > 0) {
-          ++valid_anchors;
-          total += anchor_loss[i];
-        }
-      }
-      // The recorded step had positive pairs (degenerate batches abort the
-      // recording), and the trainer duplicates the SCL label set, so every
-      // replayed batch does too.
-      OM_CHECK_GT(valid_anchors, 0)
-          << "SupConLoss: replayed batch has no positive pairs";
-      n.i1 = valid_anchors;
-      out[0] = static_cast<float>(total / valid_anchors);
-      break;
-    }
-    default:
-      OM_CHECK(false) << "graph exec: no forward kernel for "
-                      << OpKindName(n.kind);
+  const Node& head = Head(p, n);
+  bool fwd = mode == Bind::kForward;
+  bool bwd = mode == Bind::kBackward;
+  uint8_t bwd_reads = bwd ? kernels::Info(n.kind).bwd_reads : 0;
+  kernels::Call& c = p.call;
+  c.out = {fwd || (bwd_reads & kernels::kReadsOut) ? NodeData(p, id) : nullptr,
+           bwd ? NodeGrad(p, id) : nullptr, &n.shape, n.numel};
+  c.in.clear();
+  for (size_t j = 0; j < head.inputs.size(); ++j) {
+    int in = head.inputs[j];
+    bool data = fwd || (j < 2 && ((bwd_reads >> j) & 1));
+    c.in.push_back({data ? NodeData(p, in) : nullptr,
+                    bwd && head.in_req[j] ? NodeGrad(p, in) : nullptr,
+                    &p.nodes[in].shape, p.nodes[in].numel});
   }
+  c.f0 = head.f0;
+  c.i0 = head.i0;
+  c.rng = head.rng;
+  c.ints = &head.ints;
+  c.ws = &n.ws;
+  c.scratch = mode != Bind::kShapes && n.scratch_off >= 0
+                  ? p.arena.data() + n.scratch_off
+                  : nullptr;
+  return c;
+}
+
+void ExecForward(Plan& p, int id) {
+  kernels::Info(p.nodes[id].kind).forward(BindCall(p, id, Bind::kForward));
 }
 
 /// Runs one backward step: zero this step's first-touched grad buffers,
-/// then the node's backward kernel (transcribed from the eager closures).
+/// then the node's backward kernel.
 void ExecBackwardStep(Plan& p, const Plan::BwdStep& step) {
   for (int gid : step.zero_grads) {
     Node& g = p.nodes[gid];
     float* buf = p.arena.data() + g.grad_off;
     std::fill(buf, buf + g.numel, 0.0f);
   }
-  int id = step.node;
-  Node& n = p.nodes[id];
-  switch (n.kind) {
-    case OpKind::kAdd: {
-      const float* og = NodeGrad(p, id);
-      for (int j = 0; j < 2; ++j) {
-        if (!n.in_req[j]) continue;
-        float* ig = NodeGrad(p, n.inputs[j]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) ig[i] += og[i];
-                      });
-      }
-      break;
-    }
-    case OpKind::kMul: {
-      const float* og = NodeGrad(p, id);
-      if (n.in_req[0]) {
-        float* ag = NodeGrad(p, n.inputs[0]);
-        const float* bd = NodeData(p, n.inputs[1]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          ag[i] += og[i] * bd[i];
-                        }
-                      });
-      }
-      if (n.in_req[1]) {
-        float* bg = NodeGrad(p, n.inputs[1]);
-        const float* ad = NodeData(p, n.inputs[0]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          bg[i] += og[i] * ad[i];
-                        }
-                      });
-      }
-      break;
-    }
-    case OpKind::kScale: {
-      const float* og = NodeGrad(p, id);
-      float* ag = NodeGrad(p, n.inputs[0]);
-      float s = n.f0;
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) ag[i] += s * og[i];
-      });
-      break;
-    }
-    case OpKind::kAddRowBroadcast: {
-      int rows = n.shape[0];
-      int cols = n.shape[1];
-      const float* og = NodeGrad(p, id);
-      if (n.in_req[0]) {
-        float* mg = NodeGrad(p, n.inputs[0]);
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) mg[i] += og[i];
-                      });
-      }
-      if (n.in_req[1]) {
-        float* rg = NodeGrad(p, n.inputs[1]);
-        ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / rows),
-                    [&](int64_t c0, int64_t c1) {
-                      for (int r = 0; r < rows; ++r) {
-                        const float* grow = og + static_cast<size_t>(r) * cols;
-                        for (int64_t c = c0; c < c1; ++c) rg[c] += grow[c];
-                      }
-                    });
-      }
-      break;
-    }
-    case OpKind::kRelu: {
-      const float* og = NodeGrad(p, id);
-      const float* xd = NodeData(p, n.inputs[0]);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          if (xd[i] > 0.0f) xg[i] += og[i];
-        }
-      });
-      break;
-    }
-    case OpKind::kReshape: {
-      const float* og = NodeGrad(p, id);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      for (int64_t i = 0; i < n.numel; ++i) xg[i] += og[i];
-      break;
-    }
-    case OpKind::kGradReverse: {
-      const float* og = NodeGrad(p, id);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      float lambda = n.f0;
-      for (int64_t i = 0; i < n.numel; ++i) xg[i] -= lambda * og[i];
-      break;
-    }
-    case OpKind::kDropout: {
-      const float* og = NodeGrad(p, id);
-      const float* mask = n.ws0.data();
-      float* xg = NodeGrad(p, n.inputs[0]);
-      ParallelElems(static_cast<size_t>(n.numel), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) xg[i] += og[i] * mask[i];
-      });
-      break;
-    }
-    case OpKind::kMatMul: {
-      const Node& a = p.nodes[n.inputs[0]];
-      const Node& b = p.nodes[n.inputs[1]];
-      int m = a.shape[0], k = a.shape[1], cols = b.shape[1];
-      const float* og = NodeGrad(p, id);
-      if (n.in_req[0]) {
-        GemmNT(og, NodeData(p, n.inputs[1]), NodeGrad(p, n.inputs[0]), m,
-               cols, k);
-      }
-      if (n.in_req[1]) {
-        GemmTN(NodeData(p, n.inputs[0]), og, NodeGrad(p, n.inputs[1]), k, m,
-               cols);
-      }
-      break;
-    }
-    case OpKind::kFusedLinear: {
-      const Node& x = p.nodes[n.xinputs[0]];
-      const Node& w = p.nodes[n.xinputs[1]];
-      int m = x.shape[0], k = x.shape[1], cols = w.shape[1];
-      float* og = NodeGrad(p, id);
-      const float* gsrc = og;
-      if (n.fused_relu) {
-        // The fused chain elided the pre-activation tensor t; out > 0 iff
-        // t > 0 (ReLU keeps positives as-is), so the eager Relu backward's
-        // mask is reproducible from the fused output.
-        const float* od = NodeData(p, id);
-        float* scratch = p.arena.data() + n.scratch_off;
-        ParallelElems(static_cast<size_t>(n.numel),
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          scratch[i] = od[i] > 0.0f ? og[i] : 0.0f;
-                        }
-                      });
-        gsrc = scratch;
-      }
-      if (n.xin_req[2]) {
-        float* bg = NodeGrad(p, n.xinputs[2]);
-        ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / m),
-                    [&](int64_t c0, int64_t c1) {
-                      for (int r = 0; r < m; ++r) {
-                        const float* grow =
-                            gsrc + static_cast<size_t>(r) * cols;
-                        for (int64_t c = c0; c < c1; ++c) bg[c] += grow[c];
-                      }
-                    });
-      }
-      if (n.xin_req[0]) {
-        GemmNT(gsrc, NodeData(p, n.xinputs[1]), NodeGrad(p, n.xinputs[0]), m,
-               cols, k);
-      }
-      if (n.xin_req[1]) {
-        GemmTN(NodeData(p, n.xinputs[0]), gsrc, NodeGrad(p, n.xinputs[1]), k,
-               m, cols);
-      }
-      break;
-    }
-    case OpKind::kConcatCols: {
-      int rows = n.shape[0];
-      int total_cols = n.shape[1];
-      const float* og = NodeGrad(p, id);
-      int offset = 0;
-      for (size_t pi = 0; pi < n.inputs.size(); ++pi) {
-        const Node& part = p.nodes[n.inputs[pi]];
-        int cols = part.shape[1];
-        if (n.in_req[pi]) {
-          float* base = NodeGrad(p, n.inputs[pi]);
-          for (int r = 0; r < rows; ++r) {
-            const float* src =
-                og + static_cast<size_t>(r) * total_cols + offset;
-            float* dst = base + static_cast<size_t>(r) * cols;
-            for (int c = 0; c < cols; ++c) dst[c] += src[c];
-          }
-        }
-        offset += cols;
-      }
-      break;
-    }
-    case OpKind::kConcatRows: {
-      const float* og = NodeGrad(p, id);
-      size_t off = 0;
-      for (size_t pi = 0; pi < n.inputs.size(); ++pi) {
-        const Node& part = p.nodes[n.inputs[pi]];
-        size_t count = static_cast<size_t>(part.numel);
-        if (n.in_req[pi]) {
-          float* dst = NodeGrad(p, n.inputs[pi]);
-          for (size_t i = 0; i < count; ++i) dst[i] += og[off + i];
-        }
-        off += count;
-      }
-      break;
-    }
-    case OpKind::kGather:
-    case OpKind::kGatherReshape: {
-      bool fused = n.kind == OpKind::kGatherReshape;
-      int table_id = fused ? n.xinputs[0] : n.inputs[0];
-      const std::vector<int>& ids =
-          fused ? p.nodes[n.members[0]].ints : n.ints;
-      const Node& tbl = p.nodes[table_id];
-      int vocab = tbl.shape[0];
-      int width = tbl.shape[1];
-      float* tg = NodeGrad(p, table_id);
-      const float* og = NodeGrad(p, id);
-      // Destination-sharded scatter-add, identical to the eager Gather
-      // backward (same shard size, same ascending id rescan per shard).
-      int64_t work = static_cast<int64_t>(ids.size()) * width;
-      int64_t shard_rows =
-          work < kElemGrain
-              ? vocab
-              : std::max<int64_t>(64, vocab / (GetNumThreads() * 4));
-      ParallelFor(0, vocab, shard_rows, [&](int64_t lo, int64_t hi) {
-        for (size_t r = 0; r < ids.size(); ++r) {
-          int id_r = ids[r];
-          if (id_r < lo || id_r >= hi) continue;
-          float* dst = tg + static_cast<size_t>(id_r) * width;
-          const float* src = og + r * width;
-          for (int c = 0; c < width; ++c) dst[c] += src[c];
-        }
-      });
-      break;
-    }
-    case OpKind::kMeanAxis1: {
-      const Node& in = p.nodes[n.inputs[0]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int width = in.shape[2];
-      const float* og = NodeGrad(p, id);
-      float* xg = NodeGrad(p, n.inputs[0]);
-      float inv = 1.0f / static_cast<float>(length);
-      int64_t per_doc = static_cast<int64_t>(length) * width;
-      ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-                  [&](int64_t b0, int64_t b1) {
-                    for (int64_t b = b0; b < b1; ++b) {
-                      const float* grow = og + static_cast<size_t>(b) * width;
-                      for (int l = 0; l < length; ++l) {
-                        float* row =
-                            xg + (static_cast<size_t>(b) * length + l) * width;
-                        for (int e = 0; e < width; ++e) {
-                          row[e] += inv * grow[e];
-                        }
-                      }
-                    }
-                  });
-      break;
-    }
-    case OpKind::kTextConvMaxPool: {
-      const Node& in = p.nodes[n.inputs[0]];
-      const Node& wn = p.nodes[n.inputs[1]];
-      int batch = in.shape[0];
-      int length = in.shape[1];
-      int embed = in.shape[2];
-      int channels = wn.shape[0];
-      int filter_len = wn.shape[1];
-      bool need_x = n.in_req[0] != 0;
-      bool need_w = n.in_req[1] != 0;
-      bool need_b = n.in_req[2] != 0;
-      const float* od = NodeData(p, id);
-      const float* og = NodeGrad(p, id);
-      const int* argmax = n.iws0.data();
-      if (need_x) {
-        float* xg = NodeGrad(p, n.inputs[0]);
-        const float* wd = NodeData(p, n.inputs[1]);
-        ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-          for (int64_t b = b0; b < b1; ++b) {
-            float* ddoc = xg + static_cast<size_t>(b) * length * embed;
-            for (int c = 0; c < channels; ++c) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = og[oc];
-              if (g == 0.0f || od[oc] <= 0.0f) continue;
-              int t = argmax[oc];
-              const float* wrow = wd + static_cast<size_t>(c) * filter_len;
-              float* dwin = ddoc + static_cast<size_t>(t) * embed;
-              for (int j = 0; j < filter_len; ++j) dwin[j] += g * wrow[j];
-            }
-          }
-        });
-      }
-      if (need_w || need_b) {
-        float* wg = need_w ? NodeGrad(p, n.inputs[1]) : nullptr;
-        float* bg = need_b ? NodeGrad(p, n.inputs[2]) : nullptr;
-        const float* xd = NodeData(p, n.inputs[0]);
-        ParallelFor(0, channels, 1, [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            float* dwrow =
-                need_w ? wg + static_cast<size_t>(c) * filter_len : nullptr;
-            for (int b = 0; b < batch; ++b) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = og[oc];
-              if (g == 0.0f || od[oc] <= 0.0f) continue;
-              if (need_b) bg[c] += g;
-              if (need_w) {
-                int t = argmax[oc];
-                const float* win =
-                    xd + (static_cast<size_t>(b) * length + t) * embed;
-                for (int j = 0; j < filter_len; ++j) dwrow[j] += g * win[j];
-              }
-            }
-          }
-        });
-      }
-      break;
-    }
-    case OpKind::kSoftmaxCrossEntropy: {
-      const Node& ln = p.nodes[n.inputs[0]];
-      int batch = ln.shape[0];
-      int classes = ln.shape[1];
-      const float* og = NodeGrad(p, id);
-      float* lg = NodeGrad(p, n.inputs[0]);
-      const float* probs = n.ws0.data();
-      float g = og[0] / static_cast<float>(batch);
-      for (int b = 0; b < batch; ++b) {
-        const float* prow = probs + static_cast<size_t>(b) * classes;
-        float* drow = lg + static_cast<size_t>(b) * classes;
-        int y = n.ints[b];
-        for (int c = 0; c < classes; ++c) {
-          drow[c] += g * (prow[c] - (c == y ? 1.0f : 0.0f));
-        }
-      }
-      break;
-    }
-    case OpKind::kSupConLoss: {
-      const Node& fn = p.nodes[n.inputs[0]];
-      int batch = fn.shape[0];
-      int dim = fn.shape[1];
-      const std::vector<int>& labels = n.ints;
-      const float* og = NodeGrad(p, id);
-      float* dst_base = NodeGrad(p, n.inputs[0]);
-      const float* norm_feats = n.ws0.data();
-      const float* norms = n.ws1.data();
-      const float* probs = n.ws3.data();
-      float* gmat = n.ws5.data();
-      float* sym = n.ws6.data();
-      float* dnorm = n.ws7.data();
-      const int* pos_count = n.iws1.data();
-      const float inv_tau = 1.0f / n.f0;
-      int valid_anchors = n.i1;
-      float gscale = og[0] / static_cast<float>(valid_anchors);
-      size_t bb = static_cast<size_t>(batch) * batch;
-      // Rows with no positives and the diagonal are skipped below, so the
-      // whole matrix is re-zeroed first (eager uses a fresh zeroed vector).
-      std::fill(gmat, gmat + bb, 0.0f);
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int cnt = pos_count[i];
-          if (cnt == 0) continue;
-          float inv_cnt = 1.0f / static_cast<float>(cnt);
-          for (int j = 0; j < batch; ++j) {
-            if (j == i) continue;
-            float g = probs[static_cast<size_t>(i) * batch + j];
-            if (labels[j] == labels[i]) g -= inv_cnt;
-            gmat[static_cast<size_t>(i) * batch + j] = g * gscale;
-          }
-        }
-      });
-      ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-          for (int j = 0; j < batch; ++j) {
-            sym[static_cast<size_t>(k) * batch + j] =
-                (gmat[static_cast<size_t>(k) * batch + j] +
-                 gmat[static_cast<size_t>(j) * batch + k]) *
-                inv_tau;
-          }
-        }
-      });
-      std::fill(dnorm, dnorm + static_cast<size_t>(batch) * dim, 0.0f);
-      GemmNN(sym, norm_feats, dnorm, batch, batch, dim);
-      ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-          const float* zk = norm_feats + static_cast<size_t>(k) * dim;
-          const float* dk = dnorm + static_cast<size_t>(k) * dim;
-          float* dst = dst_base + static_cast<size_t>(k) * dim;
-          float dot = 0.0f;
-          for (int d = 0; d < dim; ++d) dot += dk[d] * zk[d];
-          float inv_norm = 1.0f / norms[k];
-          for (int d = 0; d < dim; ++d) {
-            dst[d] += (dk[d] - dot * zk[d]) * inv_norm;
-          }
-        }
-      });
-      break;
-    }
-    default:
-      OM_CHECK(false) << "graph exec: no backward kernel for "
-                      << OpKindName(n.kind);
-  }
+  kernels::Info(p.nodes[step.node].kind)
+      .backward(BindCall(p, step.node, Bind::kBackward));
 }
 
 /// The compiled backward, installed as the root impl's backward_fn. Runs
@@ -1026,10 +325,11 @@ void PassDeadNodes(Plan& p, GraphExecutor::Stats* stats) {
   }
 }
 
-/// Fusion over strictly call-adjacent chains whose intermediates have a
-/// single consumer: MatMul + AddRowBroadcast (+ Relu) -> kFusedLinear, and
-/// Gather + Reshape -> kGatherReshape. Members become kNop (still matched
-/// against the call stream, never executed, no buffers).
+/// Fusion of strictly call-adjacent Gather + Reshape pairs whose gather
+/// output has a single consumer: the Reshape becomes a kGatherReshape tail
+/// that runs the Gather kernels straight into its own [B, L, E] buffer, and
+/// the Gather becomes kNop (still matched against the call stream, never
+/// executed, no buffers).
 void PassFusion(Plan& p, GraphExecutor::Stats* stats) {
   OM_TRACE_SPAN("graph.compile.fuse");
   std::vector<int> consumers(p.nodes.size(), 0);
@@ -1041,63 +341,26 @@ void PassFusion(Plan& p, GraphExecutor::Stats* stats) {
   for (size_t i = 0; i + 1 < p.call_order.size(); ++i) {
     int aid = p.call_order[i];
     Node& a = p.nodes[aid];
-    if (!a.live || a.numel == 1) continue;
-    if (a.kind == OpKind::kMatMul) {
-      int bid = p.call_order[i + 1];
-      Node& b = p.nodes[bid];
-      if (!b.live || b.kind != OpKind::kAddRowBroadcast ||
-          b.inputs[0] != aid || consumers[aid] != 1 || b.numel == 1) {
-        continue;
-      }
-      int tail = bid;
-      bool relu = false;
-      if (i + 2 < p.call_order.size()) {
-        int cid = p.call_order[i + 2];
-        Node& c = p.nodes[cid];
-        if (c.live && c.kind == OpKind::kRelu && c.inputs[0] == bid &&
-            consumers[bid] == 1 && c.numel != 1) {
-          tail = cid;
-          relu = true;
-        }
-      }
-      Node& t = p.nodes[tail];
-      t.kind = OpKind::kFusedLinear;
-      t.fused_relu = relu;
-      t.xinputs = {a.inputs[0], a.inputs[1], b.inputs[1]};
-      t.xin_req = {a.in_req[0], a.in_req[1], b.in_req[1]};
-      t.members = relu ? std::vector<int>{aid, bid} : std::vector<int>{aid};
-      a.kind = OpKind::kNop;
-      a.fused_tail = tail;
-      if (relu) {
-        b.kind = OpKind::kNop;
-        b.fused_tail = tail;
-      }
-      stats->fused_linear += 1;
-      i += relu ? 2 : 1;
-    } else if (a.kind == OpKind::kGather) {
-      int bid = p.call_order[i + 1];
-      Node& b = p.nodes[bid];
-      if (!b.live || b.kind != OpKind::kReshape || b.inputs[0] != aid ||
-          consumers[aid] != 1 || b.numel == 1) {
-        continue;
-      }
-      b.kind = OpKind::kGatherReshape;
-      b.xinputs = {a.inputs[0]};
-      b.xin_req = {a.in_req[0]};
-      b.members = {aid};
-      a.kind = OpKind::kNop;
-      a.fused_tail = bid;
-      stats->fused_gather += 1;
-      i += 1;
+    if (!a.live || a.numel == 1 || a.kind != OpKind::kGather) continue;
+    int bid = p.call_order[i + 1];
+    Node& b = p.nodes[bid];
+    if (!b.live || b.kind != OpKind::kReshape || b.inputs[0] != aid ||
+        consumers[aid] != 1 || b.numel == 1) {
+      continue;
     }
+    b.kind = OpKind::kGatherReshape;
+    b.head = aid;
+    a.kind = OpKind::kNop;
+    stats->fused_gather += 1;
+    i += 1;
   }
 }
 
 /// Backward schedule: an exact simulation of tensor.cc's TopologicalOrder
 /// over the recorded graph (a node's eager `parents` are its call inputs,
 /// present iff it requires grad), reversed. Fused members emit no step —
-/// their combined backward runs at the tail's position, which is where the
-/// eager schedule placed the chain (the members are consecutive among the
+/// the chain's backward runs at the tail's position, which is where the
+/// eager schedule placed it (the members are consecutive among the
 /// executing steps).
 void PassBackwardSchedule(Plan& p) {
   OM_TRACE_SPAN("graph.compile.schedule");
@@ -1126,10 +389,9 @@ void PassBackwardSchedule(Plan& p) {
   }
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     int id = *it;
-    Node& n = p.nodes[id];
+    const Node& n = p.nodes[id];
     // Leaves have no backward_fn; kNop members run at their fusion tail.
     if (!n.is_op || !n.req_grad || n.kind == OpKind::kNop) continue;
-    n.bwd_pos = static_cast<int>(p.bwd.size());
     p.bwd.push_back({id, {}});
   }
   for (const Plan::BwdStep& step : p.bwd) {
@@ -1140,16 +402,11 @@ void PassBackwardSchedule(Plan& p) {
 }
 
 /// The node ids whose grads `n`'s backward step writes.
-void GradTargets(const Node& n, std::vector<int>* out) {
+void GradTargets(const Plan& p, const Node& n, std::vector<int>* out) {
   out->clear();
-  if (n.kind == OpKind::kFusedLinear || n.kind == OpKind::kGatherReshape) {
-    for (size_t j = 0; j < n.xinputs.size(); ++j) {
-      if (n.xin_req[j]) out->push_back(n.xinputs[j]);
-    }
-  } else {
-    for (size_t j = 0; j < n.inputs.size(); ++j) {
-      if (n.in_req[j]) out->push_back(n.inputs[j]);
-    }
+  const Node& head = Head(p, n);
+  for (size_t j = 0; j < head.inputs.size(); ++j) {
+    if (head.in_req[j]) out->push_back(head.inputs[j]);
   }
 }
 
@@ -1171,7 +428,7 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
   std::vector<int> first_touch(p.nodes.size(), INT_MAX);
   std::vector<int> targets;
   for (size_t i = 0; i < p.bwd.size(); ++i) {
-    GradTargets(p.nodes[p.bwd[i].node], &targets);
+    GradTargets(p, p.nodes[p.bwd[i].node], &targets);
     for (int t : targets) {
       first_touch[t] = std::min(first_touch[t], static_cast<int>(i));
     }
@@ -1187,8 +444,8 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
   }
 
   // Data buffers: live from the producing call to the last read. Forward
-  // reads happen at each consumer's call; backward reads depend on the
-  // kernel (see ExecBackwardStep).
+  // reads happen at each consumer's call; backward reads are the ones the
+  // op's row lists in bwd_reads.
   std::vector<int> data_end(p.nodes.size(), -1);
   auto read_at = [&](int nid, int pos) {
     data_end[nid] = std::max(data_end[nid], pos);
@@ -1196,34 +453,16 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
   for (int id : p.call_order) {
     const Node& n = p.nodes[id];
     if (!n.live || n.kind == OpKind::kNop) continue;
-    const std::vector<int>& ins = n.xinputs.empty() ? n.inputs : n.xinputs;
-    for (int in : ins) read_at(in, n.fpos);
+    for (int in : Head(p, n).inputs) read_at(in, n.fpos);
   }
   for (size_t i = 0; i < p.bwd.size(); ++i) {
-    const Node& n = p.nodes[p.bwd[i].node];
+    int id = p.bwd[i].node;
+    const std::vector<int>& ins = Head(p, p.nodes[id]).inputs;
+    uint8_t reads = kernels::Info(p.nodes[id].kind).bwd_reads;
     int pos = F + static_cast<int>(i);
-    switch (n.kind) {
-      case OpKind::kMul:
-      case OpKind::kMatMul:
-        read_at(n.inputs[0], pos);
-        read_at(n.inputs[1], pos);
-        break;
-      case OpKind::kRelu:
-        read_at(n.inputs[0], pos);
-        break;
-      case OpKind::kTextConvMaxPool:
-        read_at(n.inputs[0], pos);
-        read_at(n.inputs[1], pos);
-        read_at(p.bwd[i].node, pos);  // own output: the pooling/ReLU mask
-        break;
-      case OpKind::kFusedLinear:
-        read_at(n.xinputs[0], pos);
-        read_at(n.xinputs[1], pos);
-        if (n.fused_relu) read_at(p.bwd[i].node, pos);
-        break;
-      default:
-        break;  // everything else reads only grads / workspaces
-    }
+    if (reads & kernels::kReadsIn0) read_at(ins[0], pos);
+    if (reads & kernels::kReadsIn1) read_at(ins[1], pos);
+    if (reads & kernels::kReadsOut) read_at(id, pos);
   }
   for (int id : p.call_order) {
     const Node& n = p.nodes[id];
@@ -1233,24 +472,14 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
         {n.fpos, std::max(data_end[id], n.fpos), n.numel * 4});
   }
 
-  // Kernel scratch: conv score slabs (forward only) and the FusedLinear
-  // relu-masked gradient (its own backward step only).
+  // Forward-only kernel scratch (the conv score slabs).
   for (int id : p.call_order) {
     const Node& n = p.nodes[id];
-    if (!n.live) continue;
-    if (n.kind == OpKind::kTextConvMaxPool) {
-      const Node& in = p.nodes[n.inputs[0]];
-      const Node& wn = p.nodes[n.inputs[1]];
-      int windows = in.shape[1] - n.i0 + 1;
-      int64_t slab_total = static_cast<int64_t>(in.shape[0]) * windows *
-                           wn.shape[0];
-      placements.push_back({id, 2});
-      requests.push_back({n.fpos, n.fpos, slab_total * 4});
-    } else if (n.kind == OpKind::kFusedLinear && n.fused_relu &&
-               n.bwd_pos >= 0) {
-      placements.push_back({id, 2});
-      requests.push_back({F + n.bwd_pos, F + n.bwd_pos, n.numel * 4});
-    }
+    auto scratch_floats = kernels::Info(n.kind).scratch_floats;
+    if (!n.live || scratch_floats == nullptr) continue;
+    placements.push_back({id, 2});
+    requests.push_back(
+        {n.fpos, n.fpos, scratch_floats(BindCall(p, id, Bind::kShapes)) * 4});
   }
 
   int64_t total_bytes = 0;
@@ -1269,34 +498,13 @@ void PassArena(Plan& p, GraphExecutor::Stats* stats) {
   stats->arena_bytes_max = std::max(stats->arena_bytes_max, total_bytes);
 }
 
-/// Sizes the per-node op workspaces (reused every step) and releases the
-/// recorded impls' heap storage — non-scalar intermediates now live in the
-/// arena, so their impls keep only the shape for dim()/ndim() callers.
 /// Estimated scalar operations of one node's forward kernel (its backward
 /// is the same order of magnitude). Only has to be right about which side
 /// of kSerialWorkLimit a node lands on.
-int64_t WorkEstimate(const Plan& p, const Node& n) {
-  const std::vector<int>& ins = n.xinputs.empty() ? n.inputs : n.xinputs;
-  switch (n.kind) {
-    case OpKind::kMatMul:
-    case OpKind::kFusedLinear: {
-      const Node& a = p.nodes[ins[0]];
-      return 2 * n.numel * a.shape[1];
-    }
-    case OpKind::kTextConvMaxPool: {
-      const Node& in = p.nodes[ins[0]];
-      int64_t windows = in.shape[1] - n.i0 + 1;
-      int64_t channels = p.nodes[ins[1]].shape[0];
-      return 2 * in.shape[0] * windows * channels * n.i0 * in.shape[2];
-    }
-    case OpKind::kSupConLoss: {
-      const Node& f = p.nodes[ins[0]];
-      int64_t rows = f.shape[0];
-      return 2 * rows * rows * (f.shape[1] + 4);
-    }
-    default:
-      return n.numel * 4;
-  }
+int64_t WorkEstimate(Plan& p, int id) {
+  auto work = kernels::Info(p.nodes[id].kind).work;
+  return work != nullptr ? work(BindCall(p, id, Bind::kShapes))
+                         : p.nodes[id].numel * 4;
 }
 
 /// Below this much estimated work a pool dispatch costs more than the
@@ -1314,48 +522,20 @@ void PassChunkSchedule(Plan& p) {
   for (int id : p.call_order) {
     Node& n = p.nodes[id];
     if (!n.live || n.kind == OpKind::kNop || !n.is_op) continue;
-    n.serial = WorkEstimate(p, n) < kSerialWorkLimit;
+    n.serial = WorkEstimate(p, id) < kSerialWorkLimit;
   }
 }
 
+/// Sizes the per-node op workspaces (reused every step) and releases the
+/// recorded impls' heap storage — non-scalar intermediates now live in the
+/// arena, so their impls keep only the shape for dim()/ndim() callers.
 void PassFinalize(Plan& p) {
   OM_TRACE_SPAN("graph.compile.finalize");
   for (int id : p.call_order) {
     Node& n = p.nodes[id];
-    if (!n.live) continue;
-    switch (n.kind) {
-      case OpKind::kDropout:
-        n.ws0.assign(static_cast<size_t>(n.numel), 0.0f);
-        break;
-      case OpKind::kTextConvMaxPool:
-        n.iws0.assign(static_cast<size_t>(n.numel), 0);
-        break;
-      case OpKind::kSoftmaxCrossEntropy: {
-        const Node& ln = p.nodes[n.inputs[0]];
-        size_t batch = static_cast<size_t>(ln.shape[0]);
-        size_t classes = static_cast<size_t>(ln.shape[1]);
-        n.ws0.assign(batch * classes, 0.0f);  // probs
-        n.ws1.assign(batch, 0.0f);            // row_loss
-        break;
-      }
-      case OpKind::kSupConLoss: {
-        const Node& fn = p.nodes[n.inputs[0]];
-        size_t batch = static_cast<size_t>(fn.shape[0]);
-        size_t dim = static_cast<size_t>(fn.shape[1]);
-        n.ws0.assign(batch * dim, 0.0f);    // norm_feats
-        n.ws1.assign(batch, 0.0f);          // norms
-        n.ws2.assign(batch * batch, 0.0f);  // sims
-        n.ws3.assign(batch * batch, 0.0f);  // probs (diagonal stays 0)
-        n.ws4.assign(batch, 0.0f);          // lse
-        n.ws5.assign(batch * batch, 0.0f);  // gmat
-        n.ws6.assign(batch * batch, 0.0f);  // sym
-        n.ws7.assign(batch * dim, 0.0f);    // dnorm
-        n.dws0.assign(batch, 0.0);          // anchor_loss
-        n.iws1.assign(batch, 0);            // pos_count
-        break;
-      }
-      default:
-        break;
+    auto size_workspace = kernels::Info(n.kind).size_workspace;
+    if (n.live && size_workspace != nullptr) {
+      size_workspace(BindCall(p, id, Bind::kShapes), &n.ws);
     }
   }
   for (int id : p.call_order) {
@@ -1444,6 +624,10 @@ void Record(Session* session, OpKind kind, const Tensor* const* inputs,
   Plan& p = *session->rec;
   if (p.call_order.size() >= kMaxRecordedCalls) {
     AbortRecording(session, "step too long to record");
+    return;
+  }
+  if (num_inputs > kMaxReplayInputs) {
+    AbortRecording(session, "op call with too many inputs to replay");
     return;
   }
   Node n;

@@ -24,20 +24,20 @@ namespace graph {
 /// shared_ptr parent list per op.
 ///
 /// This layer removes the repetition:
-///  * a RECORDER observes one eager step (the op hooks in ops.cc/losses.cc
-///    call Record() after each eager kernel) and captures it as an explicit
+///  * a RECORDER observes one eager step (kernels::RunEager calls
+///    Record() after each eager op) and captures it as an explicit
 ///    op-node IR — kinds, input edges, shapes, static attributes;
 ///  * a PASS PIPELINE compiles the IR: dead-node elimination, fusion of
-///    matmul+bias(+ReLU) chains and gather+reshape pairs into single fused
-///    kernels, an exact mirror of the eager backward schedule, and
-///    liveness-based first-fit planning of every intermediate data/grad
+///    gather+reshape pairs, an exact mirror of the eager backward schedule,
+///    and liveness-based first-fit planning of every intermediate data/grad
 ///    buffer into ONE pre-sized arena;
 ///  * a REPLAY executor re-runs subsequent steps against the plan: the
 ///    model code still executes (it carries the dynamic ids/labels and the
 ///    control flow), but each op call is cursor-matched against the plan
 ///    and dispatched straight to its kernel on arena buffers — zero heap
-///    allocations in steady state, bit-identical to eager at every thread
-///    count.
+///    allocations in steady state. The kernels are the eager ops' own
+///    (nn/kernels.h), so replay is bit-identical to eager at every thread
+///    count by construction.
 ///
 /// Fallback contract: recording is pure observation (the eager step is
 /// untouched), so a step that hits an unsupported op simply marks its batch
@@ -64,7 +64,6 @@ enum class OpKind : uint8_t {
   kSoftmaxCrossEntropy,
   kSupConLoss,
   // Synthesized by the fusion pass; never recorded directly.
-  kFusedLinear,    // MatMul + AddRowBroadcast (+ Relu)
   kGatherReshape,  // Gather + Reshape into [B, L, E]
   // A fused-away chain member: matched against the call stream but not
   // executed (its work happens at the fusion tail's call site).
@@ -109,7 +108,6 @@ class GraphExecutor {
     int64_t record_steps = 0;    // steps that ran eager + recorded
     int64_t replay_steps = 0;    // steps served from a compiled plan
     int64_t fallback_signatures = 0;  // signatures marked permanently eager
-    int64_t fused_linear = 0;    // matmul+bias(+relu) chains fused
     int64_t fused_gather = 0;    // gather+reshape pairs fused
     int64_t dead_nodes = 0;      // nodes removed by DCE
     int64_t arena_bytes_max = 0;  // largest compiled arena
@@ -146,7 +144,12 @@ class StepScope {
   std::unique_ptr<Session> session_;
 };
 
-/// --- hooks for ops.cc / losses.cc / tensor.cc ---------------------------
+/// --- hooks for kernels.cc / ops.cc / losses.cc / tensor.cc --------------
+
+/// Most inputs one replayed op call may have: the replay hooks keep the
+/// input-pointer array on the stack, so Record() refuses wider calls (the
+/// signature stays eager).
+constexpr int kMaxReplayInputs = 16;
 
 /// Static and dynamic attributes of one op call. Float attributes and int
 /// lists are DYNAMIC: replay copies them into the node each call, so e.g.
@@ -171,7 +174,7 @@ void Record(Session* session, OpKind kind, const Tensor* const* inputs,
             int num_inputs, const Tensor& out, const OpArgs& args);
 
 /// Replays the next recorded op call: cursor-matches (kind, inputs, static
-/// attrs), copies dynamic attrs, executes the node's kernel(s) on the plan
+/// attrs), copies dynamic attrs, executes the node's kernel on the plan
 /// buffers, and returns the node's persistent output tensor.
 Tensor Replay(Session* session, OpKind kind, const Tensor* const* inputs,
               int num_inputs, const OpArgs& args);

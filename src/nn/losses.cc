@@ -1,117 +1,30 @@
 #include "nn/losses.h"
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 
 #include "common/check.h"
-#include "common/threadpool.h"
-#include "nn/gemm.h"
 #include "nn/graph.h"
-#include "obs/metrics.h"
+#include "nn/kernels.h"
 
 namespace omnimatch {
 namespace nn {
 
-namespace {
-
-/// Same counter the eager ops bump in MakeOutput (ops.cc); the losses build
-/// their output nodes by hand.
-obs::Counter* LossNodeAllocCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter("nn.tensor_node_allocs");
-  return counter;
-}
-
-/// Single-input flavors of the graph hooks in ops.cc (see ReplayOp there).
-bool ReplayLoss(graph::OpKind kind, const Tensor& input,
-                const graph::OpArgs& args, Tensor* out) {
-  graph::Session* session = graph::ActiveReplay();
-  if (session == nullptr) return false;
-  const Tensor* in = &input;
-  *out = graph::Replay(session, kind, &in, 1, args);
-  return true;
-}
-
-void RecordLoss(graph::OpKind kind, const Tensor& input, const Tensor& out,
-                const graph::OpArgs& args) {
-  graph::Session* session = graph::ActiveRecording();
-  if (session == nullptr) return;
-  const Tensor* in = &input;
-  graph::Record(session, kind, &in, 1, out, args);
-}
-
-}  // namespace
+using graph::OpKind;
 
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& labels) {
-  graph::OpArgs graph_args;
-  graph_args.ints = &labels;
-  if (Tensor r; ReplayLoss(graph::OpKind::kSoftmaxCrossEntropy, logits,
-                           graph_args, &r)) {
+  graph::OpArgs args;
+  args.ints = &labels;
+  if (Tensor r;
+      kernels::TryReplay(OpKind::kSoftmaxCrossEntropy, {&logits}, args, &r)) {
     return r;
   }
   OM_CHECK_EQ(logits.ndim(), 2);
-  int batch = logits.dim(0);
-  int classes = logits.dim(1);
-  OM_CHECK_GT(batch, 0);  // mean over an empty batch is NaN
-  OM_CHECK_EQ(static_cast<size_t>(batch), labels.size());
-  for (int y : labels) OM_CHECK(y >= 0 && y < classes) << "label " << y;
-
-  LossNodeAllocCounter()->Increment();
-  auto out = std::make_shared<TensorImpl>();
-  out->shape = {1};
-  out->data = {0.0f};
-  out->requires_grad = logits.requires_grad();
-
-  // Probabilities are stored for the backward pass.
-  auto probs = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(batch) * classes);
-  const float* x = logits.data().data();
-  // Row-parallel softmax; per-row losses are combined serially in index
-  // order so the scalar is thread-count invariant.
-  std::vector<float> row_loss(batch, 0.0f);
-  ParallelFor(0, batch, 64, [&](int64_t b0, int64_t b1) {
-    for (int64_t b = b0; b < b1; ++b) {
-      const float* row = x + static_cast<size_t>(b) * classes;
-      float* prow = probs->data() + static_cast<size_t>(b) * classes;
-      float max_v = row[0];
-      for (int c = 1; c < classes; ++c) max_v = std::max(max_v, row[c]);
-      float sum = 0.0f;
-      for (int c = 0; c < classes; ++c) {
-        prow[c] = std::exp(row[c] - max_v);
-        sum += prow[c];
-      }
-      float inv = 1.0f / sum;
-      for (int c = 0; c < classes; ++c) prow[c] *= inv;
-      row_loss[b] = -std::log(std::max(prow[labels[b]], 1e-12f));
-    }
-  });
-  double total = 0.0;
-  for (int b = 0; b < batch; ++b) total += row_loss[b];
-  out->data[0] = static_cast<float>(total / batch);
-
-  if (out->requires_grad) {
-    out->parents = {logits.impl()};
-    auto li = logits.impl();
-    TensorImpl* o = out.get();
-    auto labels_copy = std::make_shared<std::vector<int>>(labels);
-    out->backward_fn = [li, o, probs, labels_copy, batch, classes]() {
-      o->EnsureGrad();
-      li->EnsureGrad();
-      float g = o->grad[0] / static_cast<float>(batch);
-      for (int b = 0; b < batch; ++b) {
-        const float* prow = probs->data() + static_cast<size_t>(b) * classes;
-        float* drow = li->grad.data() + static_cast<size_t>(b) * classes;
-        int y = (*labels_copy)[b];
-        for (int c = 0; c < classes; ++c) {
-          drow[c] += g * (prow[c] - (c == y ? 1.0f : 0.0f));
-        }
-      }
-    };
-  }
-  Tensor result(std::move(out));
-  RecordLoss(graph::OpKind::kSoftmaxCrossEntropy, logits, result, graph_args);
-  return result;
+  OM_CHECK_GT(logits.dim(0), 0);  // mean over an empty batch is NaN
+  OM_CHECK_EQ(static_cast<size_t>(logits.dim(0)), labels.size());
+  return kernels::RunEager(OpKind::kSoftmaxCrossEntropy, {&logits}, {1},
+                           args);
 }
 
 Tensor MseLoss(const Tensor& pred, const std::vector<float>& target) {
@@ -120,26 +33,20 @@ Tensor MseLoss(const Tensor& pred, const std::vector<float>& target) {
   int n = static_cast<int>(target.size());
   OM_CHECK_GT(n, 0);  // mean over an empty batch is NaN
 
-  LossNodeAllocCounter()->Increment();
-  auto out = std::make_shared<TensorImpl>();
-  out->shape = {1};
-  out->data = {0.0f};
-  out->requires_grad = pred.requires_grad();
-
+  Tensor out = kernels::MakeOutput({1}, {pred.impl()});
   const float* p = pred.data().data();
   double total = 0.0;
   for (int i = 0; i < n; ++i) {
     double d = static_cast<double>(p[i]) - target[i];
     total += d * d;
   }
-  out->data[0] = static_cast<float>(total / n);
+  out.data()[0] = static_cast<float>(total / n);
 
-  if (out->requires_grad) {
-    out->parents = {pred.impl()};
+  if (out.requires_grad()) {
     auto pi = pred.impl();
-    TensorImpl* o = out.get();
+    TensorImpl* o = out.impl().get();
     auto target_copy = std::make_shared<std::vector<float>>(target);
-    out->backward_fn = [pi, o, target_copy, n]() {
+    o->backward_fn = [pi, o, target_copy, n]() {
       o->EnsureGrad();
       pi->EnsureGrad();
       float g = o->grad[0] * 2.0f / static_cast<float>(n);
@@ -148,194 +55,36 @@ Tensor MseLoss(const Tensor& pred, const std::vector<float>& target) {
       }
     };
   }
-  return Tensor(std::move(out));
+  return out;
 }
 
 Tensor SupConLoss(const Tensor& features, const std::vector<int>& labels,
                   float temperature) {
-  graph::OpArgs graph_args;
-  graph_args.f0 = temperature;
-  graph_args.ints = &labels;
+  graph::OpArgs args;
+  args.f0 = temperature;
+  args.ints = &labels;
   if (Tensor r;
-      ReplayLoss(graph::OpKind::kSupConLoss, features, graph_args, &r)) {
+      kernels::TryReplay(OpKind::kSupConLoss, {&features}, args, &r)) {
     return r;
   }
   OM_CHECK_EQ(features.ndim(), 2);
-  int batch = features.dim(0);
-  int dim = features.dim(1);
-  OM_CHECK_EQ(static_cast<size_t>(batch), labels.size());
+  OM_CHECK_EQ(static_cast<size_t>(features.dim(0)), labels.size());
   OM_CHECK_GT(temperature, 0.0f);
 
-  if (batch < 2) {
-    // A single feature (or none) cannot form a positive pair. Bail out
-    // before the softmax-over-A(i) pass: with an empty A(i) its
-    // log-sum-exp is log(0) = -inf, a non-finite intermediate that health
-    // scans would flag even though the final loss is a constant zero.
-    // Structurally degenerate: not representable as a recorded node.
-    graph::AbortRecording(graph::ActiveRecording(),
-                          "SupConLoss with batch < 2");
-    return Tensor::Scalar(0.0f);
-  }
-
-  // --- Forward ---
-  // 1. L2-normalize rows.
-  auto norm_feats = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(batch) * dim);
-  auto norms = std::make_shared<std::vector<float>>(batch);
-  const float* z = features.data().data();
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* row = z + static_cast<size_t>(i) * dim;
-      double sq = 0.0;
-      for (int d = 0; d < dim; ++d) sq += static_cast<double>(row[d]) * row[d];
-      float norm = static_cast<float>(std::sqrt(sq)) + 1e-8f;
-      (*norms)[i] = norm;
-      float* nrow = norm_feats->data() + static_cast<size_t>(i) * dim;
-      for (int d = 0; d < dim; ++d) nrow[d] = row[d] / norm;
-    }
-  });
-
-  // 2. Similarities s_ij = <ẑ_i, ẑ_j> / τ and softmax denominators over
-  //    A(i) = all j != i. Shifted by the row max for stability. The full
-  //    Gram matrix Ẑ Ẑ^T is one GEMM; the diagonal comes along for free and
-  //    every later pass skips it.
-  const float inv_tau = 1.0f / temperature;
-  std::vector<float> sims(static_cast<size_t>(batch) * batch, 0.0f);
-  GemmNT(norm_feats->data(), norm_feats->data(), sims.data(), batch, dim,
-         batch);
-  for (float& s : sims) s *= inv_tau;
-
-  // p_ij = exp(s_ij) / sum_{a != i} exp(s_ia); stored for backward.
-  // Each anchor row is owned by one chunk, so probs/lse are deterministic.
-  auto probs = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(batch) * batch, 0.0f);
-  std::vector<float> lse(batch, 0.0f);
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float max_v = -1e30f;
-      for (int j = 0; j < batch; ++j) {
-        if (j != i) {
-          max_v = std::max(max_v, sims[static_cast<size_t>(i) * batch + j]);
-        }
-      }
-      double sum = 0.0;
-      for (int j = 0; j < batch; ++j) {
-        if (j == i) continue;
-        double e = std::exp(sims[static_cast<size_t>(i) * batch + j] - max_v);
-        (*probs)[static_cast<size_t>(i) * batch + j] = static_cast<float>(e);
-        sum += e;
-      }
-      lse[i] = max_v + static_cast<float>(std::log(sum));
-      float inv = static_cast<float>(1.0 / sum);
-      for (int j = 0; j < batch; ++j) {
-        (*probs)[static_cast<size_t>(i) * batch + j] *= inv;
-      }
-    }
-  });
-
-  // 3. Per-anchor loss over P(i) = {p != i : label_p == label_i}.
-  // Per-anchor partials are combined serially in index order so the scalar
-  // loss is independent of the thread count.
-  auto pos_count = std::make_shared<std::vector<int>>(batch, 0);
-  std::vector<double> anchor_loss(batch, 0.0);
-  ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      int cnt = 0;
-      double pos_sum = 0.0;
-      for (int j = 0; j < batch; ++j) {
-        if (j != i && labels[j] == labels[i]) {
-          ++cnt;
-          pos_sum += sims[static_cast<size_t>(i) * batch + j];
-        }
-      }
-      (*pos_count)[i] = cnt;
-      if (cnt > 0) anchor_loss[i] = -(pos_sum / cnt - lse[i]);
-    }
-  });
-  int valid_anchors = 0;
-  double total = 0.0;
-  for (int i = 0; i < batch; ++i) {
-    if ((*pos_count)[i] > 0) {
-      ++valid_anchors;
-      total += anchor_loss[i];
-    }
-  }
-
-  if (valid_anchors == 0) {
-    // No positive pairs in the batch; constant zero, no gradient. A replay
-    // of this signature could later see positives, so don't compile it.
+  // No anchor has a positive when no label repeats (in particular with a
+  // single feature): the loss is a constant 0 with no gradient. Skipping
+  // the kernel also skips its softmax over A(i), whose log-sum-exp is
+  // log(0) = -inf for an empty A(i) — a non-finite intermediate health
+  // scans would flag. A replay of this signature could later see
+  // positives, so such a step is not representable as a recorded node.
+  std::vector<int> sorted = labels;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end()) {
     graph::AbortRecording(graph::ActiveRecording(),
                           "SupConLoss batch with no positive pairs");
     return Tensor::Scalar(0.0f);
   }
-
-  LossNodeAllocCounter()->Increment();
-  auto out = std::make_shared<TensorImpl>();
-  out->shape = {1};
-  out->data = {static_cast<float>(total / valid_anchors)};
-  out->requires_grad = features.requires_grad();
-
-  if (out->requires_grad) {
-    out->parents = {features.impl()};
-    auto fi = features.impl();
-    TensorImpl* o = out.get();
-    auto labels_copy = std::make_shared<std::vector<int>>(labels);
-    out->backward_fn = [fi, o, norm_feats, norms, probs, pos_count,
-                        labels_copy, batch, dim, inv_tau, valid_anchors]() {
-      o->EnsureGrad();
-      fi->EnsureGrad();
-      float gscale = o->grad[0] / static_cast<float>(valid_anchors);
-      // g_ij = dL/ds_ij for anchor i (0 on the diagonal and for anchors
-      // without positives). Anchor rows are independent.
-      std::vector<float> gmat(static_cast<size_t>(batch) * batch, 0.0f);
-      ParallelFor(0, batch, 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int cnt = (*pos_count)[i];
-          if (cnt == 0) continue;
-          float inv_cnt = 1.0f / static_cast<float>(cnt);
-          for (int j = 0; j < batch; ++j) {
-            if (j == i) continue;
-            float g = (*probs)[static_cast<size_t>(i) * batch + j];
-            if ((*labels_copy)[j] == (*labels_copy)[i]) g -= inv_cnt;
-            gmat[static_cast<size_t>(i) * batch + j] = g * gscale;
-          }
-        }
-      });
-      // dL/dẑ = (1/τ) (G + G^T) Ẑ — symmetrize, then one GEMM. The
-      // diagonal of G is zero, so no j == k exclusion is needed.
-      std::vector<float> sym(static_cast<size_t>(batch) * batch);
-      ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-          for (int j = 0; j < batch; ++j) {
-            sym[static_cast<size_t>(k) * batch + j] =
-                (gmat[static_cast<size_t>(k) * batch + j] +
-                 gmat[static_cast<size_t>(j) * batch + k]) *
-                inv_tau;
-          }
-        }
-      });
-      std::vector<float> dnorm(static_cast<size_t>(batch) * dim, 0.0f);
-      GemmNN(sym.data(), norm_feats->data(), dnorm.data(), batch, batch, dim);
-      // Chain through the normalization ẑ = z/||z||:
-      // dz = (dẑ - (dẑ·ẑ) ẑ) / ||z||. Feature rows are independent.
-      ParallelFor(0, batch, 8, [&](int64_t k0, int64_t k1) {
-        for (int64_t k = k0; k < k1; ++k) {
-          const float* zk = norm_feats->data() + static_cast<size_t>(k) * dim;
-          const float* dk = dnorm.data() + static_cast<size_t>(k) * dim;
-          float* dst = fi->grad.data() + static_cast<size_t>(k) * dim;
-          float dot = 0.0f;
-          for (int d = 0; d < dim; ++d) dot += dk[d] * zk[d];
-          float inv_norm = 1.0f / (*norms)[k];
-          for (int d = 0; d < dim; ++d) {
-            dst[d] += (dk[d] - dot * zk[d]) * inv_norm;
-          }
-        }
-      });
-    };
-  }
-  Tensor result(std::move(out));
-  RecordLoss(graph::OpKind::kSupConLoss, features, result, graph_args);
-  return result;
+  return kernels::RunEager(OpKind::kSupConLoss, {&features}, {1}, args);
 }
 
 }  // namespace nn

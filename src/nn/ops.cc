@@ -8,38 +8,18 @@
 #include "nn/elemwise.h"
 #include "nn/gemm.h"
 #include "nn/graph.h"
-#include "obs/metrics.h"
+#include "nn/kernels.h"
 
 namespace omnimatch {
 namespace nn {
 
 namespace {
 
+using graph::OpKind;
+using kernels::MakeOutput;
+using kernels::RunEager;
+using kernels::TryReplay;
 using Impl = std::shared_ptr<TensorImpl>;
-
-/// Tape nodes allocated by eager ops. Replayed graph steps allocate none:
-/// the ratio of this counter to steps is the zero-alloc evidence surfaced
-/// in the metrics snapshot and BENCH_graph.json.
-obs::Counter* NodeAllocCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Global().GetCounter("nn.tensor_node_allocs");
-  return counter;
-}
-
-/// Creates the output node of an op: shape, requires_grad propagation, and
-/// (when grad is needed) the parent edges. The caller attaches backward_fn
-/// only when `out->requires_grad` is true.
-Tensor MakeOutput(std::vector<int> shape, std::vector<Impl> parents) {
-  NodeAllocCounter()->Increment();
-  auto out = std::make_shared<TensorImpl>();
-  out->shape = std::move(shape);
-  out->data.assign(static_cast<size_t>(ShapeNumel(out->shape)), 0.0f);
-  bool needs_grad = false;
-  for (const Impl& p : parents) needs_grad = needs_grad || p->requires_grad;
-  out->requires_grad = needs_grad;
-  if (needs_grad) out->parents = std::move(parents);
-  return Tensor(std::move(out));
-}
 
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
   OM_CHECK(a.shape() == b.shape())
@@ -47,285 +27,61 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
       << ShapeToString(b.shape());
 }
 
-/// Graph-executor entry hook: when the calling thread is replaying a
-/// compiled plan, dispatches this op call to the plan (running its kernel
-/// on arena buffers) and returns true with the node's output tensor. The
-/// eager body is skipped entirely. Runs before the op's own input checks —
-/// replayed intermediates keep shapes but not data, so value-based checks
-/// happen inside the plan kernels instead.
-bool ReplayOp(graph::OpKind kind, std::initializer_list<const Tensor*> inputs,
-              const graph::OpArgs& args, Tensor* out) {
-  graph::Session* session = graph::ActiveReplay();
-  if (session == nullptr) return false;
-  *out = graph::Replay(session, kind, inputs.begin(),
-                       static_cast<int>(inputs.size()), args);
-  return true;
-}
-
-/// Graph-executor exit hook: appends the op that just executed eagerly to
-/// the recording, if one is active. Pure observation.
-void RecordOp(graph::OpKind kind, std::initializer_list<const Tensor*> inputs,
-              const Tensor& out, const graph::OpArgs& args) {
-  graph::Session* session = graph::ActiveRecording();
-  if (session == nullptr) return;
-  graph::Record(session, kind, inputs.begin(),
-                static_cast<int>(inputs.size()), out, args);
-}
-
-/// Concat hooks keep the input-pointer array on the stack so the replay
-/// path performs no heap allocation.
-constexpr size_t kMaxConcatParts = 16;
-
-bool ReplayConcat(graph::OpKind kind, const std::vector<Tensor>& parts,
+/// Concat replay keeps the input-pointer array on the stack so the replay
+/// path performs no heap allocation (graph::Record refuses wider concats).
+bool ReplayConcat(OpKind kind, const std::vector<Tensor>& parts,
                   Tensor* out) {
-  graph::Session* session = graph::ActiveReplay();
-  if (session == nullptr) return false;
-  OM_CHECK_LE(parts.size(), kMaxConcatParts) << "concat too wide to replay";
-  const Tensor* ptrs[kMaxConcatParts];
+  if (graph::ActiveReplay() == nullptr) return false;
+  OM_CHECK_LE(parts.size(), static_cast<size_t>(graph::kMaxReplayInputs))
+      << "concat too wide to replay";
+  const Tensor* ptrs[graph::kMaxReplayInputs];
   for (size_t i = 0; i < parts.size(); ++i) ptrs[i] = &parts[i];
-  *out = graph::Replay(session, kind, ptrs, static_cast<int>(parts.size()),
-                       graph::OpArgs());
-  return true;
+  return TryReplay(kind, ptrs, static_cast<int>(parts.size()), {}, out);
 }
 
-void RecordConcat(graph::OpKind kind, const std::vector<Tensor>& parts,
-                  const Tensor& out) {
-  graph::Session* session = graph::ActiveRecording();
-  if (session == nullptr) return;
-  if (parts.size() > kMaxConcatParts) {
-    graph::AbortRecording(session, "concat with too many parts");
-    return;
-  }
-  const Tensor* ptrs[kMaxConcatParts];
-  for (size_t i = 0; i < parts.size(); ++i) ptrs[i] = &parts[i];
-  graph::Record(session, kind, ptrs, static_cast<int>(parts.size()), out,
-                graph::OpArgs());
+Tensor RunConcat(OpKind kind, const std::vector<Tensor>& parts,
+                 std::vector<int> out_shape) {
+  std::vector<const Tensor*> ptrs;
+  ptrs.reserve(parts.size());
+  for (const Tensor& p : parts) ptrs.push_back(&p);
+  return RunEager(kind, ptrs.data(), static_cast<int>(ptrs.size()),
+                  std::move(out_shape), {});
 }
 
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  if (Tensor r; ReplayOp(graph::OpKind::kAdd, {&a, &b}, {}, &r)) return r;
+  if (Tensor r; TryReplay(OpKind::kAdd, {&a, &b}, {}, &r)) return r;
   CheckSameShape(a, b, "Add");
-  Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] + bv[i];
-  });
-  if (out.requires_grad()) {
-    Impl ai = a.impl(), bi = b.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, bi, o]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) ai->grad[i] += o->grad[i];
-        });
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) bi->grad[i] += o->grad[i];
-        });
-      }
-    };
-  }
-  RecordOp(graph::OpKind::kAdd, {&a, &b}, out, {});
-  return out;
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  graph::UnsupportedOp("Sub");
-  CheckSameShape(a, b, "Sub");
-  Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] - bv[i];
-  });
-  if (out.requires_grad()) {
-    Impl ai = a.impl(), bi = b.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, bi, o]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) ai->grad[i] += o->grad[i];
-        });
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) bi->grad[i] -= o->grad[i];
-        });
-      }
-    };
-  }
-  return out;
+  return RunEager(OpKind::kAdd, {&a, &b}, a.shape(), {});
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  if (Tensor r; ReplayOp(graph::OpKind::kMul, {&a, &b}, {}, &r)) return r;
+  if (Tensor r; TryReplay(OpKind::kMul, {&a, &b}, {}, &r)) return r;
   CheckSameShape(a, b, "Mul");
-  Tensor out = MakeOutput(a.shape(), {a.impl(), b.impl()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] * bv[i];
-  });
-  if (out.requires_grad()) {
-    Impl ai = a.impl(), bi = b.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, bi, o]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            ai->grad[i] += o->grad[i] * bi->data[i];
-          }
-        });
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) {
-            bi->grad[i] += o->grad[i] * ai->data[i];
-          }
-        });
-      }
-    };
-  }
-  RecordOp(graph::OpKind::kMul, {&a, &b}, out, {});
-  return out;
+  return RunEager(OpKind::kMul, {&a, &b}, a.shape(), {});
 }
 
 Tensor Scale(const Tensor& a, float s) {
   graph::OpArgs args;
   args.f0 = s;
-  if (Tensor r; ReplayOp(graph::OpKind::kScale, {&a}, args, &r)) return r;
-  Tensor out = MakeOutput(a.shape(), {a.impl()});
-  const auto& av = a.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = av[i] * s;
-  });
-  if (out.requires_grad()) {
-    Impl ai = a.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, o, s]() {
-      o->EnsureGrad();
-      ai->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) ai->grad[i] += s * o->grad[i];
-      });
-    };
-  }
-  RecordOp(graph::OpKind::kScale, {&a}, out, args);
-  return out;
-}
-
-Tensor AddScalar(const Tensor& a, float s) {
-  graph::UnsupportedOp("AddScalar");
-  Tensor out = MakeOutput(a.shape(), {a.impl()});
-  const auto& av = a.data();
-  auto& ov = out.data();
-  for (size_t i = 0; i < ov.size(); ++i) ov[i] = av[i] + s;
-  if (out.requires_grad()) {
-    Impl ai = a.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, o]() {
-      o->EnsureGrad();
-      ai->EnsureGrad();
-      for (size_t i = 0; i < o->grad.size(); ++i) ai->grad[i] += o->grad[i];
-    };
-  }
-  return out;
+  if (Tensor r; TryReplay(OpKind::kScale, {&a}, args, &r)) return r;
+  return RunEager(OpKind::kScale, {&a}, a.shape(), args);
 }
 
 Tensor AddRowBroadcast(const Tensor& mat, const Tensor& row) {
-  if (Tensor r;
-      ReplayOp(graph::OpKind::kAddRowBroadcast, {&mat, &row}, {}, &r)) {
+  if (Tensor r; TryReplay(OpKind::kAddRowBroadcast, {&mat, &row}, {}, &r)) {
     return r;
   }
   OM_CHECK_EQ(mat.ndim(), 2);
-  int rows = mat.dim(0);
-  int cols = mat.dim(1);
-  OM_CHECK_EQ(static_cast<int>(row.numel()), cols)
+  OM_CHECK_EQ(static_cast<int>(row.numel()), mat.dim(1))
       << "bias length must equal column count";
-  Tensor out = MakeOutput(mat.shape(), {mat.impl(), row.impl()});
-  const auto& mv = mat.data();
-  const auto& rv = row.data();
-  auto& ov = out.data();
-  ParallelFor(0, rows, std::max<int64_t>(1, kElemGrain / cols),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  const float* src = mv.data() + static_cast<size_t>(r) * cols;
-                  float* dst = ov.data() + static_cast<size_t>(r) * cols;
-                  for (int c = 0; c < cols; ++c) dst[c] = src[c] + rv[c];
-                }
-              });
-  if (out.requires_grad()) {
-    Impl mi = mat.impl(), ri = row.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [mi, ri, o, rows, cols]() {
-      o->EnsureGrad();
-      if (mi->requires_grad) {
-        mi->EnsureGrad();
-        ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i) mi->grad[i] += o->grad[i];
-        });
-      }
-      if (ri->requires_grad) {
-        ri->EnsureGrad();
-        // Column reduction: each column owned by one chunk, rows walked in
-        // ascending order — deterministic for any thread count.
-        ParallelFor(0, cols, std::max<int64_t>(1, kElemGrain / rows),
-                    [&](int64_t c0, int64_t c1) {
-                      for (int r = 0; r < rows; ++r) {
-                        const float* grow =
-                            o->grad.data() + static_cast<size_t>(r) * cols;
-                        for (int64_t c = c0; c < c1; ++c) {
-                          ri->grad[c] += grow[c];
-                        }
-                      }
-                    });
-      }
-    };
-  }
-  RecordOp(graph::OpKind::kAddRowBroadcast, {&mat, &row}, out, {});
-  return out;
+  return RunEager(OpKind::kAddRowBroadcast, {&mat, &row}, mat.shape(), {});
 }
 
 Tensor Relu(const Tensor& x) {
-  if (Tensor r; ReplayOp(graph::OpKind::kRelu, {&x}, {}, &r)) return r;
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = xv[i] > 0.0f ? xv[i] : 0.0f;
-  });
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          if (xi->data[i] > 0.0f) xi->grad[i] += o->grad[i];
-        }
-      });
-    };
-  }
-  RecordOp(graph::OpKind::kRelu, {&x}, out, {});
-  return out;
+  if (Tensor r; TryReplay(OpKind::kRelu, {&x}, {}, &r)) return r;
+  return RunEager(OpKind::kRelu, {&x}, x.shape(), {});
 }
 
 Tensor LeakyRelu(const Tensor& x, float slope) {
@@ -357,75 +113,10 @@ Tensor LeakyRelu(const Tensor& x, float slope) {
 Tensor Reshape(const Tensor& x, std::vector<int> new_shape) {
   graph::OpArgs args;
   args.shape = &new_shape;
-  if (Tensor r; ReplayOp(graph::OpKind::kReshape, {&x}, args, &r)) return r;
+  if (Tensor r; TryReplay(OpKind::kReshape, {&x}, args, &r)) return r;
   OM_CHECK_EQ(ShapeNumel(new_shape), x.numel())
       << ShapeToString(x.shape()) << " -> " << ShapeToString(new_shape);
-  Tensor out = MakeOutput(std::move(new_shape), {x.impl()});
-  out.data() = x.data();
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      for (size_t i = 0; i < o->grad.size(); ++i) xi->grad[i] += o->grad[i];
-    };
-  }
-  args.shape = &out.shape();  // new_shape was moved into the output
-  RecordOp(graph::OpKind::kReshape, {&x}, out, args);
-  return out;
-}
-
-Tensor Tanh(const Tensor& x) {
-  graph::UnsupportedOp("Tanh");
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) ov[i] = std::tanh(xv[i]);
-  });
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          float y = o->data[i];
-          xi->grad[i] += o->grad[i] * (1.0f - y * y);
-        }
-      });
-    };
-  }
-  return out;
-}
-
-Tensor Sigmoid(const Tensor& x) {
-  graph::UnsupportedOp("Sigmoid");
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  ParallelElems(ov.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      ov[i] = 1.0f / (1.0f + std::exp(-xv[i]));
-    }
-  });
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          float y = o->data[i];
-          xi->grad[i] += o->grad[i] * y * (1.0f - y);
-        }
-      });
-    };
-  }
-  return out;
+  return RunEager(OpKind::kReshape, {&x}, new_shape, args);
 }
 
 Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
@@ -437,62 +128,16 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   graph::OpArgs args;
   args.f0 = p;
   args.rng = rng;
-  if (Tensor r; ReplayOp(graph::OpKind::kDropout, {&x}, args, &r)) return r;
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  float keep_scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<std::vector<float>>(xv.size(), 0.0f);
-  // The mask consumes the caller's RNG stream element by element; kept
-  // serial so the stream is independent of threading.
-  for (size_t i = 0; i < xv.size(); ++i) {
-    if (!rng->Bernoulli(p)) (*mask)[i] = keep_scale;
-    ov[i] = xv[i] * (*mask)[i];
-  }
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o, mask]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelElems(o->grad.size(), [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          xi->grad[i] += o->grad[i] * (*mask)[i];
-        }
-      });
-    };
-  }
-  RecordOp(graph::OpKind::kDropout, {&x}, out, args);
-  return out;
+  if (Tensor r; TryReplay(OpKind::kDropout, {&x}, args, &r)) return r;
+  return RunEager(OpKind::kDropout, {&x}, x.shape(), args);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  if (Tensor r; ReplayOp(graph::OpKind::kMatMul, {&a, &b}, {}, &r)) return r;
+  if (Tensor r; TryReplay(OpKind::kMatMul, {&a, &b}, {}, &r)) return r;
   OM_CHECK_EQ(a.ndim(), 2);
   OM_CHECK_EQ(b.ndim(), 2);
-  int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  OM_CHECK_EQ(k, b.dim(0)) << "MatMul inner dims";
-  Tensor out = MakeOutput({m, n}, {a.impl(), b.impl()});
-  GemmNN(a.data().data(), b.data().data(), out.data().data(), m, k, n);
-  if (out.requires_grad()) {
-    Impl ai = a.impl(), bi = b.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [ai, bi, o, m, k, n]() {
-      o->EnsureGrad();
-      if (ai->requires_grad) {
-        ai->EnsureGrad();
-        // dA[M,K] += dOut[M,N] * B[K,N]^T
-        GemmNT(o->grad.data(), bi->data.data(), ai->grad.data(), m, n, k);
-      }
-      if (bi->requires_grad) {
-        bi->EnsureGrad();
-        // dB[K,N] += A[M,K]^T * dOut[M,N]
-        GemmTN(ai->data.data(), o->grad.data(), bi->grad.data(), k, m, n);
-      }
-    };
-  }
-  RecordOp(graph::OpKind::kMatMul, {&a, &b}, out, {});
-  return out;
+  OM_CHECK_EQ(a.dim(1), b.dim(0)) << "MatMul inner dims";
+  return RunEager(OpKind::kMatMul, {&a, &b}, {a.dim(0), b.dim(1)}, {});
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
@@ -525,166 +170,38 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
 
 Tensor ConcatCols(const std::vector<Tensor>& parts) {
   OM_CHECK(!parts.empty());
-  if (Tensor r; ReplayConcat(graph::OpKind::kConcatCols, parts, &r)) {
-    return r;
-  }
+  if (Tensor r; ReplayConcat(OpKind::kConcatCols, parts, &r)) return r;
   int rows = parts[0].dim(0);
   int total_cols = 0;
-  std::vector<Impl> parents;
   for (const Tensor& p : parts) {
     OM_CHECK_EQ(p.ndim(), 2);
     OM_CHECK_EQ(p.dim(0), rows) << "ConcatCols row mismatch";
     total_cols += p.dim(1);
-    parents.push_back(p.impl());
   }
-  Tensor out = MakeOutput({rows, total_cols}, parents);
-  auto& ov = out.data();
-  int col_offset = 0;
-  for (const Tensor& p : parts) {
-    int cols = p.dim(1);
-    const auto& pv = p.data();
-    for (int r = 0; r < rows; ++r) {
-      std::copy(pv.begin() + static_cast<size_t>(r) * cols,
-                pv.begin() + static_cast<size_t>(r + 1) * cols,
-                ov.begin() + static_cast<size_t>(r) * total_cols + col_offset);
-    }
-    col_offset += cols;
-  }
-  if (out.requires_grad()) {
-    std::vector<Impl> impls;
-    std::vector<int> widths;
-    for (const Tensor& p : parts) {
-      impls.push_back(p.impl());
-      widths.push_back(p.dim(1));
-    }
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [impls, widths, o, rows, total_cols]() {
-      o->EnsureGrad();
-      int offset = 0;
-      for (size_t i = 0; i < impls.size(); ++i) {
-        int cols = widths[i];
-        if (impls[i]->requires_grad) {
-          impls[i]->EnsureGrad();
-          for (int r = 0; r < rows; ++r) {
-            const float* src =
-                o->grad.data() + static_cast<size_t>(r) * total_cols + offset;
-            float* dst =
-                impls[i]->grad.data() + static_cast<size_t>(r) * cols;
-            for (int c = 0; c < cols; ++c) dst[c] += src[c];
-          }
-        }
-        offset += cols;
-      }
-    };
-  }
-  RecordConcat(graph::OpKind::kConcatCols, parts, out);
-  return out;
+  return RunConcat(OpKind::kConcatCols, parts, {rows, total_cols});
 }
 
 Tensor ConcatRows(const std::vector<Tensor>& parts) {
   OM_CHECK(!parts.empty());
-  if (Tensor r; ReplayConcat(graph::OpKind::kConcatRows, parts, &r)) {
-    return r;
-  }
+  if (Tensor r; ReplayConcat(OpKind::kConcatRows, parts, &r)) return r;
   int cols = parts[0].dim(1);
   int total_rows = 0;
-  std::vector<Impl> parents;
   for (const Tensor& p : parts) {
     OM_CHECK_EQ(p.ndim(), 2);
     OM_CHECK_EQ(p.dim(1), cols) << "ConcatRows column mismatch";
     total_rows += p.dim(0);
-    parents.push_back(p.impl());
   }
-  Tensor out = MakeOutput({total_rows, cols}, parents);
-  auto& ov = out.data();
-  size_t offset = 0;
-  for (const Tensor& p : parts) {
-    const auto& pv = p.data();
-    std::copy(pv.begin(), pv.end(), ov.begin() + offset);
-    offset += pv.size();
-  }
-  if (out.requires_grad()) {
-    std::vector<Impl> impls;
-    for (const Tensor& p : parts) impls.push_back(p.impl());
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [impls, o]() {
-      o->EnsureGrad();
-      size_t off = 0;
-      for (const Impl& pi : impls) {
-        size_t n = pi->data.size();
-        if (pi->requires_grad) {
-          pi->EnsureGrad();
-          for (size_t i = 0; i < n; ++i) pi->grad[i] += o->grad[off + i];
-        }
-        off += n;
-      }
-    };
-  }
-  RecordConcat(graph::OpKind::kConcatRows, parts, out);
-  return out;
+  return RunConcat(OpKind::kConcatRows, parts, {total_rows, cols});
 }
 
 Tensor Gather(const Tensor& table, const std::vector<int>& ids) {
   graph::OpArgs args;
   args.ints = &ids;
-  if (Tensor r; ReplayOp(graph::OpKind::kGather, {&table}, args, &r)) {
-    return r;
-  }
+  if (Tensor r; TryReplay(OpKind::kGather, {&table}, args, &r)) return r;
   OM_CHECK_EQ(table.ndim(), 2);
-  int vocab = table.dim(0);
-  int width = table.dim(1);
   OM_CHECK(!ids.empty());
-  for (int id : ids) {
-    OM_CHECK(id >= 0 && id < vocab) << "Gather id " << id << " of " << vocab;
-  }
-  Tensor out =
-      MakeOutput({static_cast<int>(ids.size()), width}, {table.impl()});
-  const auto& tv = table.data();
-  auto& ov = out.data();
-  ParallelFor(0, static_cast<int64_t>(ids.size()),
-              std::max<int64_t>(1, kElemGrain / width),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  std::copy(
-                      tv.begin() + static_cast<size_t>(ids[r]) * width,
-                      tv.begin() + static_cast<size_t>(ids[r] + 1) * width,
-                      ov.begin() + static_cast<size_t>(r) * width);
-                }
-              });
-  if (out.requires_grad()) {
-    Impl ti = table.impl();
-    TensorImpl* o = out.impl().get();
-    auto ids_copy = std::make_shared<std::vector<int>>(ids);
-    out.impl()->backward_fn = [ti, o, ids_copy, vocab, width]() {
-      o->EnsureGrad();
-      ti->EnsureGrad();
-      // Scatter-add sharded by destination row: a chunk owns the table rows
-      // in [lo, hi) and walks the id list in order, accumulating only the
-      // ids it owns. Every table row is updated by exactly one chunk with a
-      // fixed accumulation order, so the result is race-free and
-      // bit-identical for any thread count. Each chunk rescans the id list,
-      // which is cheap next to the touched gradient rows; the scan also
-      // keeps the naturally sparse structure (only referenced rows are
-      // written) without a sort or per-thread buffers.
-      int64_t work =
-          static_cast<int64_t>(ids_copy->size()) * width;
-      int64_t shard_rows =
-          work < kElemGrain
-              ? vocab  // single shard: plain serial scatter
-              : std::max<int64_t>(64, vocab / (GetNumThreads() * 4));
-      ParallelFor(0, vocab, shard_rows, [&](int64_t lo, int64_t hi) {
-        for (size_t r = 0; r < ids_copy->size(); ++r) {
-          int id = (*ids_copy)[r];
-          if (id < lo || id >= hi) continue;
-          float* dst = ti->grad.data() + static_cast<size_t>(id) * width;
-          const float* src = o->grad.data() + r * width;
-          for (int c = 0; c < width; ++c) dst[c] += src[c];
-        }
-      });
-    };
-  }
-  RecordOp(graph::OpKind::kGather, {&table}, out, args);
-  return out;
+  return RunEager(OpKind::kGather, {&table},
+                  {static_cast<int>(ids.size()), table.dim(1)}, args);
 }
 
 Tensor MeanRows(const Tensor& x) {
@@ -749,55 +266,9 @@ Tensor RowSum(const Tensor& x) {
 }
 
 Tensor MeanAxis1(const Tensor& x) {
-  if (Tensor r; ReplayOp(graph::OpKind::kMeanAxis1, {&x}, {}, &r)) return r;
+  if (Tensor r; TryReplay(OpKind::kMeanAxis1, {&x}, {}, &r)) return r;
   OM_CHECK_EQ(x.ndim(), 3);
-  int batch = x.dim(0);
-  int length = x.dim(1);
-  int width = x.dim(2);
-  Tensor out = MakeOutput({batch, width}, {x.impl()});
-  const auto& xv = x.data();
-  auto& ov = out.data();
-  float inv = 1.0f / static_cast<float>(length);
-  int64_t per_doc = static_cast<int64_t>(length) * width;
-  ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-              [&](int64_t b0, int64_t b1) {
-                for (int64_t b = b0; b < b1; ++b) {
-                  float* orow = ov.data() + static_cast<size_t>(b) * width;
-                  for (int l = 0; l < length; ++l) {
-                    const float* row =
-                        xv.data() +
-                        (static_cast<size_t>(b) * length + l) * width;
-                    for (int e = 0; e < width; ++e) orow[e] += row[e];
-                  }
-                  for (int e = 0; e < width; ++e) orow[e] *= inv;
-                }
-              });
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o, batch, length, width, inv,
-                               per_doc]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      ParallelFor(0, batch, std::max<int64_t>(1, kElemGrain / per_doc),
-                  [&](int64_t b0, int64_t b1) {
-                    for (int64_t b = b0; b < b1; ++b) {
-                      const float* grow =
-                          o->grad.data() + static_cast<size_t>(b) * width;
-                      for (int l = 0; l < length; ++l) {
-                        float* row =
-                            xi->grad.data() +
-                            (static_cast<size_t>(b) * length + l) * width;
-                        for (int e = 0; e < width; ++e) {
-                          row[e] += inv * grow[e];
-                        }
-                      }
-                    }
-                  });
-    };
-  }
-  RecordOp(graph::OpKind::kMeanAxis1, {&x}, out, {});
-  return out;
+  return RunEager(OpKind::kMeanAxis1, {&x}, {x.dim(0), x.dim(2)}, {});
 }
 
 Tensor Softmax(const Tensor& x) {
@@ -882,148 +353,27 @@ Tensor MeanAll(const Tensor& x) {
 Tensor GradReverse(const Tensor& x, float lambda) {
   graph::OpArgs args;
   args.f0 = lambda;
-  if (Tensor r; ReplayOp(graph::OpKind::kGradReverse, {&x}, args, &r)) {
-    return r;
-  }
-  Tensor out = MakeOutput(x.shape(), {x.impl()});
-  out.data() = x.data();
-  if (out.requires_grad()) {
-    Impl xi = x.impl();
-    TensorImpl* o = out.impl().get();
-    out.impl()->backward_fn = [xi, o, lambda]() {
-      o->EnsureGrad();
-      xi->EnsureGrad();
-      for (size_t i = 0; i < o->grad.size(); ++i) {
-        xi->grad[i] -= lambda * o->grad[i];
-      }
-    };
-  }
-  RecordOp(graph::OpKind::kGradReverse, {&x}, out, args);
-  return out;
+  if (Tensor r; TryReplay(OpKind::kGradReverse, {&x}, args, &r)) return r;
+  return RunEager(OpKind::kGradReverse, {&x}, x.shape(), args);
 }
 
 Tensor TextConvMaxPool(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, int kernel_size) {
   graph::OpArgs args;
   args.i0 = kernel_size;
-  if (Tensor r; ReplayOp(graph::OpKind::kTextConvMaxPool,
-                         {&input, &weight, &bias}, args, &r)) {
+  if (Tensor r; TryReplay(OpKind::kTextConvMaxPool, {&input, &weight, &bias},
+                          args, &r)) {
     return r;
   }
   OM_CHECK_EQ(input.ndim(), 3);
   OM_CHECK_EQ(weight.ndim(), 2);
-  int batch = input.dim(0);
-  int length = input.dim(1);
-  int embed = input.dim(2);
   int channels = weight.dim(0);
-  OM_CHECK_EQ(weight.dim(1), kernel_size * embed)
+  OM_CHECK_EQ(weight.dim(1), kernel_size * input.dim(2))
       << "filter width must be kernel_size * embed";
   OM_CHECK_EQ(static_cast<int>(bias.numel()), channels);
-  OM_CHECK_GE(length, kernel_size) << "document shorter than kernel";
-  int windows = length - kernel_size + 1;
-
-  Tensor out =
-      MakeOutput({batch, channels}, {input.impl(), weight.impl(), bias.impl()});
-  const float* x = input.data().data();
-  const float* w = weight.data().data();
-  const float* bvec = bias.data().data();
-  float* o = out.data().data();
-  // argmax window index per (batch, channel), needed for backward.
-  auto argmax = std::make_shared<std::vector<int>>(
-      static_cast<size_t>(batch) * channels, 0);
-
-  int filter_len = kernel_size * embed;
-  // Batch-parallel: each document's scores GEMM + max-pool is independent.
-  ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-    std::vector<float> scores(static_cast<size_t>(windows) * channels);
-    for (int64_t b = b0; b < b1; ++b) {
-      std::fill(scores.begin(), scores.end(), 0.0f);
-      const float* doc = x + static_cast<size_t>(b) * length * embed;
-      // scores[t, c] = <doc window t, filter c>; windows overlap via
-      // lda=embed.
-      GemmNTStrided(doc, embed, w, scores.data(), windows, filter_len,
-                    channels);
-      for (int c = 0; c < channels; ++c) {
-        float best = scores[c];
-        int best_t = 0;
-        for (int t = 1; t < windows; ++t) {
-          float v = scores[static_cast<size_t>(t) * channels + c];
-          if (v > best) {
-            best = v;
-            best_t = t;
-          }
-        }
-        best += bvec[c];
-        // max-over-time then ReLU == ReLU then max (ReLU is monotone).
-        o[static_cast<size_t>(b) * channels + c] = best > 0.0f ? best : 0.0f;
-        (*argmax)[static_cast<size_t>(b) * channels + c] = best_t;
-      }
-    }
-  });
-
-  if (out.requires_grad()) {
-    Impl xi = input.impl(), wi = weight.impl(), bi = bias.impl();
-    TensorImpl* oi = out.impl().get();
-    out.impl()->backward_fn = [xi, wi, bi, oi, argmax, batch, length, embed,
-                               channels, filter_len]() {
-      oi->EnsureGrad();
-      bool need_x = xi->requires_grad;
-      bool need_w = wi->requires_grad;
-      bool need_b = bi->requires_grad;
-      if (need_x) xi->EnsureGrad();
-      if (need_w) wi->EnsureGrad();
-      if (need_b) bi->EnsureGrad();
-      // Two sharded passes instead of one serial loop: documents own their
-      // input-gradient rows (windows of different channels may overlap
-      // inside one document, but never across documents), and channels own
-      // their filter/bias gradient rows. Both passes walk the other axis in
-      // ascending order, so gradients are bit-identical for any thread
-      // count.
-      if (need_x) {
-        ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-          for (int64_t b = b0; b < b1; ++b) {
-            float* ddoc =
-                xi->grad.data() + static_cast<size_t>(b) * length * embed;
-            for (int c = 0; c < channels; ++c) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = oi->grad[oc];
-              if (g == 0.0f || oi->data[oc] <= 0.0f) continue;
-              int t = (*argmax)[oc];
-              const float* wrow =
-                  wi->data.data() + static_cast<size_t>(c) * filter_len;
-              float* dwin = ddoc + static_cast<size_t>(t) * embed;
-              for (int j = 0; j < filter_len; ++j) dwin[j] += g * wrow[j];
-            }
-          }
-        });
-      }
-      if (need_w || need_b) {
-        ParallelFor(0, channels, 1, [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            float* dwrow =
-                need_w ? wi->grad.data() + static_cast<size_t>(c) * filter_len
-                       : nullptr;
-            for (int b = 0; b < batch; ++b) {
-              size_t oc = static_cast<size_t>(b) * channels + c;
-              float g = oi->grad[oc];
-              if (g == 0.0f || oi->data[oc] <= 0.0f) continue;
-              if (need_b) bi->grad[c] += g;
-              if (need_w) {
-                int t = (*argmax)[oc];
-                const float* win =
-                    xi->data.data() +
-                    (static_cast<size_t>(b) * length + t) * embed;
-                for (int j = 0; j < filter_len; ++j) dwrow[j] += g * win[j];
-              }
-            }
-          }
-        });
-      }
-    };
-  }
-  RecordOp(graph::OpKind::kTextConvMaxPool, {&input, &weight, &bias}, out,
-           args);
-  return out;
+  OM_CHECK_GE(input.dim(1), kernel_size) << "document shorter than kernel";
+  return RunEager(OpKind::kTextConvMaxPool, {&input, &weight, &bias},
+                  {input.dim(0), channels}, args);
 }
 
 }  // namespace nn

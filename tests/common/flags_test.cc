@@ -128,6 +128,18 @@ TEST_F(FlagParserDeathTest, MalformedDoubleExitsNamingTheFlag) {
               "invalid value \"0.2x\" for flag --alpha");
 }
 
+// An unread flag is a typo or an unsupported option: the binary must exit
+// naming it instead of running as if it were absent.
+TEST_F(FlagParserDeathTest, UnreadFlagExitsNamingIt) {
+  FlagParser p = ParseOne("--definitely_not_a_flag=7");
+  p.GetInt("threads", 0);
+  EXPECT_EXIT(p.RejectUnreadFlags(), ::testing::ExitedWithCode(2),
+              "unknown flag --definitely_not_a_flag");
+  FlagParser q = ParseOne("--resume");
+  EXPECT_TRUE(q.Has("resume"));
+  q.RejectUnreadFlags();  // every given flag was read: returns
+}
+
 TEST_F(FlagParserDeathTest, EmptyNumericValueExits) {
   FlagParser p = ParseOne("--batch=");
   EXPECT_EXIT(p.GetInt("batch", 0), ::testing::ExitedWithCode(2),

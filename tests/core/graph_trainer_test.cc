@@ -28,16 +28,21 @@ data::SyntheticConfig SmallWorldConfig() {
   return c;
 }
 
-OmniMatchConfig SmallTrainConfig(int num_threads, bool graph_exec) {
+/// The mini config, or with `production` the default OmniMatchConfig's
+/// shapes.
+OmniMatchConfig SmallTrainConfig(int num_threads, bool graph_exec,
+                                 bool production = false) {
   OmniMatchConfig config;
-  config.embed_dim = 8;
-  config.cnn_channels = 4;
-  config.kernel_sizes = {2, 3};
-  config.feature_dim = 8;
-  config.projection_dim = 4;
-  config.doc_len = 16;
-  config.item_doc_len = 16;
-  config.batch_size = 16;
+  if (!production) {
+    config.embed_dim = 8;
+    config.cnn_channels = 4;
+    config.kernel_sizes = {2, 3};
+    config.feature_dim = 8;
+    config.projection_dim = 4;
+    config.doc_len = 16;
+    config.item_doc_len = 16;
+    config.batch_size = 16;
+  }
   config.epochs = 2;
   config.aux_eval_samples = 2;
   config.seed = 31;
@@ -55,9 +60,9 @@ struct RunResult {
 
 RunResult TrainOnce(const data::CrossDomainDataset& cross,
                     const data::ColdStartSplit& split, int num_threads,
-                    bool graph_exec) {
-  OmniMatchTrainer trainer(SmallTrainConfig(num_threads, graph_exec), &cross,
-                           split);
+                    bool graph_exec, bool production = false) {
+  OmniMatchTrainer trainer(
+      SmallTrainConfig(num_threads, graph_exec, production), &cross, split);
   EXPECT_TRUE(trainer.Prepare().ok());
   TrainStats stats = trainer.Train();
   RunResult result;
@@ -91,20 +96,26 @@ TEST(GraphTrainerTest, RecordedTrainingBitIdenticalToEagerAcrossThreads) {
   Rng rng(5);
   data::ColdStartSplit split = data::MakeColdStartSplit(cross, &rng);
 
-  RunResult eager = TrainOnce(cross, split, 1, /*graph_exec=*/false);
-  for (int threads : {1, 2, 4}) {
-    RunResult graph = TrainOnce(cross, split, threads, /*graph_exec=*/true);
-    ExpectBitIdentical(eager, graph);
+  // The mini config at 1/2/4 threads, then the production shapes at 1/2.
+  for (bool production : {false, true}) {
+    RunResult eager = TrainOnce(cross, split, 1, /*graph_exec=*/false,
+                                production);
+    for (int threads : production ? std::vector<int>{1, 2}
+                                  : std::vector<int>{1, 2, 4}) {
+      RunResult graph =
+          TrainOnce(cross, split, threads, /*graph_exec=*/true, production);
+      ExpectBitIdentical(eager, graph);
 
-    // The Table 2 config trains on full batches plus one partial tail
-    // batch per epoch: one compiled plan per distinct batch size, every
-    // step after the two recordings served from a plan.
-    EXPECT_GE(graph.stats.plans, 1) << threads << " threads";
-    EXPECT_LE(graph.stats.plans, 2) << threads << " threads";
-    EXPECT_EQ(graph.stats.record_steps, graph.stats.plans);
-    EXPECT_GT(graph.stats.replay_steps, 0) << threads << " threads";
-    EXPECT_EQ(graph.stats.fallback_signatures, 0) << threads << " threads";
-    EXPECT_GT(graph.stats.arena_bytes_max, 0);
+      // The Table 2 config trains on full batches plus one partial tail
+      // batch per epoch: one compiled plan per distinct batch size, every
+      // step after the two recordings served from a plan.
+      EXPECT_GE(graph.stats.plans, 1) << threads << " threads";
+      EXPECT_LE(graph.stats.plans, 2) << threads << " threads";
+      EXPECT_EQ(graph.stats.record_steps, graph.stats.plans);
+      EXPECT_GT(graph.stats.replay_steps, 0) << threads << " threads";
+      EXPECT_EQ(graph.stats.fallback_signatures, 0) << threads << " threads";
+      EXPECT_GT(graph.stats.arena_bytes_max, 0);
+    }
   }
   SetNumThreads(0);
 }

@@ -50,6 +50,8 @@ int main(int argc, char** argv) {
   std::string in_path = flags.GetString("in", "");
   std::string out_path = flags.GetString("out", "");
   std::string name = flags.GetString("name", "domain");
+  bool verify = !flags.GetBool("no_verify", false);
+  flags.RejectUnreadFlags();
   if (in_path.empty() || out_path.empty()) {
     std::fprintf(stderr,
                  "usage: tsv_to_omds --in=reviews.tsv --out=reviews.omds "
@@ -69,7 +71,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!flags.GetBool("no_verify", false)) {
+  if (verify) {
     Result<data::DomainDataset> mapped = data::LoadDomainOmds(out_path, name);
     if (!mapped.ok()) {
       std::fprintf(stderr, "tsv_to_omds: verification reload failed: %s\n",
@@ -86,6 +88,6 @@ int main(int argc, char** argv) {
 
   std::printf("tsv_to_omds: %zu records -> %s (verified=%s)\n",
               loaded.value().num_reviews(), out_path.c_str(),
-              flags.GetBool("no_verify", false) ? "no" : "yes");
+              verify ? "yes" : "no");
   return 0;
 }
