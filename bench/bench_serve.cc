@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
   // --- Closed loop: `clients` threads, back-to-back blocking requests ---
   {
     obs::MetricsRegistry::Global().ResetAll();
-    int64_t batches0 = server.batches_dispatched();
+    int64_t batches0 = server.stats().batches_dispatched;
     int64_t hits0 = server.scorer().cache().hits();
     int64_t misses0 = server.scorer().cache().misses();
     std::vector<float> scores(pool.size(), 0.0f);
@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
                     ? static_cast<double>(pool.size()) / phase.wall_s
                     : 0.0;
     ReadTiers(&phase);
-    phase.batches = server.batches_dispatched() - batches0;
+    phase.batches = server.stats().batches_dispatched - batches0;
     phase.mean_batch =
         phase.batches > 0
             ? static_cast<double>(pool.size()) / phase.batches
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   // --- Open loop: paced arrivals at the target rate ---
   {
     obs::MetricsRegistry::Global().ResetAll();
-    int64_t batches0 = server.batches_dispatched();
+    int64_t batches0 = server.stats().batches_dispatched;
     int64_t hits0 = server.scorer().cache().hits();
     int64_t misses0 = server.scorer().cache().misses();
     std::vector<std::future<serve::ScoreResult>> futures;
@@ -406,7 +406,7 @@ int main(int argc, char** argv) {
     phase.qps =
         phase.wall_s > 0 ? static_cast<double>(scored) / phase.wall_s : 0.0;
     ReadTiers(&phase);
-    phase.batches = server.batches_dispatched() - batches0;
+    phase.batches = server.stats().batches_dispatched - batches0;
     phase.mean_batch =
         phase.batches > 0 ? static_cast<double>(scored) / phase.batches : 0.0;
     phase.cache_hits = server.scorer().cache().hits() - hits0;
@@ -429,7 +429,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_serve: fault arming failed\n");
       return 1;
     }
-    int64_t batches0 = server.batches_dispatched();
+    int64_t batches0 = server.stats().batches_dispatched;
     int64_t hits0 = server.scorer().cache().hits();
     int64_t misses0 = server.scorer().cache().misses();
     int64_t stale0 = server.scorer().cache().stale_evictions();
@@ -540,7 +540,7 @@ int main(int argc, char** argv) {
     phase.qps =
         phase.wall_s > 0 ? static_cast<double>(scored) / phase.wall_s : 0.0;
     ReadTiers(&phase);
-    phase.batches = server.batches_dispatched() - batches0;
+    phase.batches = server.stats().batches_dispatched - batches0;
     phase.mean_batch =
         phase.batches > 0 ? static_cast<double>(scored) / phase.batches : 0.0;
     phase.cache_hits = server.scorer().cache().hits() - hits0;

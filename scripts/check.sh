@@ -24,7 +24,10 @@ SERVE_FAULTS="queue_admit@2:count=2;executor_score@3:mag=1,count=2;executor_scor
 
 run_release() {
   echo "=== Release build + full test suite ==="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+  # Warnings are errors in this lane: a clean build has none, and a new one
+  # fails CI instead of scrolling by.
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON > /dev/null
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure -j "${JOBS}"
   echo "=== Recorded-graph executor smoke benchmark ==="

@@ -111,7 +111,9 @@ uint64_t OmniMatchConfig::Fingerprint() const {
   w.Write<uint8_t>(use_interaction_features ? 1 : 0);
   w.Write<uint8_t>(use_mean_embedding_feature ? 1 : 0);
   w.Write<float>(aux_augmentation_prob);
-  w.Write<uint8_t>(use_hybrid_inference ? 1 : 0);
+  // Slot of the retired hybrid-inference switch (always off), kept so the
+  // digest of every existing config, checkpoint and snapshot stays put.
+  w.Write<uint8_t>(0);
   w.Write<int32_t>(aux_eval_samples);
   w.Write<uint8_t>(shuffle_reviews_in_training ? 1 : 0);
   w.Write<float>(word_dropout);
@@ -120,7 +122,9 @@ uint64_t OmniMatchConfig::Fingerprint() const {
   w.Write<uint8_t>(use_aux_reviews ? 1 : 0);
   w.Write<int32_t>(static_cast<int32_t>(extractor));
   w.Write<int32_t>(static_cast<int32_t>(text_field));
-  w.Write<int32_t>(min_vocab_count);
+  // Slot of the retired min_vocab_count option: the vocabulary keeps every
+  // token seen at least once.
+  w.Write<int32_t>(1);
   w.Write<uint64_t>(seed);
 
   uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis

@@ -87,14 +87,6 @@ struct OmniMatchConfig {
   /// classifier on the same input distribution cold-start users will
   /// present at inference. 0 reproduces the paper's training exactly.
   float aux_augmentation_prob = 0.5f;
-  /// Hybrid cold-start inference (extension, ablatable): besides the
-  /// auxiliary-document target features, also score each pair with a hybrid
-  /// representation [source-invariant ⊕ target-specific] and average. The
-  /// invariant half comes from the user's OWN source document — exactly the
-  /// features the DA + SCL modules align across domains — so the paper's
-  /// domain-invariant machinery is exercised at inference, not only in
-  /// training. The rating classifier is trained on the same hybrid input.
-  bool use_hybrid_inference = false;
 
   /// Number of independently sampled auxiliary documents per cold-start
   /// user; predictions are averaged over them at evaluation time. Algorithm
@@ -120,7 +112,6 @@ struct OmniMatchConfig {
   TextField text_field = TextField::kSummary;
 
   // --- misc ---
-  int min_vocab_count = 1;
   uint64_t seed = 7;
   bool verbose = false;
   /// Worker threads for the shared compute pool (GEMM, conv, losses,

@@ -1,5 +1,8 @@
 #include "core/model.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/check.h"
 #include "nn/ops.h"
 
@@ -125,6 +128,18 @@ Tensor OmniMatchModel::ExtractItem(const std::vector<int>& doc_ids,
 
 Tensor OmniMatchModel::UserRepresentation(const UserFeatures& features) {
   return nn::ConcatCols({features.invariant, features.specific});
+}
+
+float OmniMatchModel::ExpectedRating(const float* logits, int classes) {
+  float max_v = logits[0];
+  for (int c = 1; c < classes; ++c) max_v = std::max(max_v, logits[c]);
+  double sum = 0.0, weighted = 0.0;
+  for (int c = 0; c < classes; ++c) {
+    double e = std::exp(static_cast<double>(logits[c]) - max_v);
+    sum += e;
+    weighted += e * (c + 1);
+  }
+  return static_cast<float>(weighted / sum);
 }
 
 Tensor OmniMatchModel::Project(const Tensor& user_rep,

@@ -58,6 +58,12 @@ class OmniMatchModel : public nn::Module {
   nn::Tensor RatingLogits(const nn::Tensor& target_rep,
                           const nn::Tensor& item_rep);
 
+  /// Softmax-expected rating sum_k k * p(k) of one row of `classes` rating
+  /// logits: max-subtracted exponentials summed in double, cast to float at
+  /// the end. The trainer's evaluation and the serving Scorer both read
+  /// scores out through this, so they agree bit for bit.
+  static float ExpectedRating(const float* logits, int classes);
+
   /// Domain logits for invariant features; input passes through the GRL so
   /// that minimizing the returned classifier loss *maximizes* it w.r.t. the
   /// extractor (Eq. 14-15).

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "common/check.h"
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -132,7 +129,7 @@ void OmniMatchTrainer::BuildVocabulary() {
     }
   }
   vocab_ = text::Vocabulary();
-  vocab_.BuildFromDocuments(docs, config_.min_vocab_count);
+  vocab_.BuildFromDocuments(docs);
 }
 
 void OmniMatchTrainer::BuildDocuments() {
@@ -449,16 +446,6 @@ OmniMatchTrainer::StepOutcome OmniMatchTrainer::TrainBatch(
     {
       OM_TRACE_SPAN_TIMED("losses", PhaseHist("trainer.losses_ns"));
       loss = nn::SoftmaxCrossEntropy(rating_logits, labels);
-      if (config_.use_hybrid_inference) {
-        // Train the classifier on the hybrid representation used for
-        // cold-start inference: the user's source-domain invariant features
-        // (aligned by DA + SCL) concatenated with the target-side specific
-        // features.
-        Tensor hybrid = nn::ConcatCols({src.invariant, tgt.specific});
-        Tensor hybrid_loss = nn::SoftmaxCrossEntropy(
-            model_->RatingLogits(hybrid, item_rep), labels);
-        loss = nn::Scale(nn::Add(loss, hybrid_loss), 0.5f);
-      }
       rating_loss = loss.ScalarValue();
 
       // --- Contrastive Representation Learning Module (Fig. 2 D, Eq. 11-13):
@@ -765,33 +752,7 @@ std::vector<float> OmniMatchTrainer::PredictBatch(
 
   std::vector<float> preds(static_cast<size_t>(b), 0.0f);
   int passes = 1 + max_variants;
-  int readouts_per_pass = config_.use_hybrid_inference ? 2 : 1;
-  float weight = 1.0f / static_cast<float>(passes * readouts_per_pass);
-  auto accumulate = [&](const Tensor& logits) {
-    for (int i = 0; i < b; ++i) {
-      float max_v = logits.At(i, 0);
-      for (int c = 1; c < classes; ++c) {
-        max_v = std::max(max_v, logits.At(i, c));
-      }
-      double sum = 0.0, weighted = 0.0;
-      for (int c = 0; c < classes; ++c) {
-        double e = std::exp(static_cast<double>(logits.At(i, c)) - max_v);
-        sum += e;
-        weighted += e * (c + 1);
-      }
-      preds[static_cast<size_t>(i)] +=
-          weight * static_cast<float>(weighted / sum);
-    }
-  };
-
-  // The user's own source-domain features (for hybrid inference) do not
-  // depend on the auxiliary-document ensemble pass.
-  OmniMatchModel::UserFeatures src;
-  if (config_.use_hybrid_inference) {
-    src = model_->ExtractUser(
-        DomainSide::kSource,
-        GatherDocs(user_source_docs_, users, config_.doc_len), b);
-  }
+  float weight = 1.0f / static_cast<float>(passes);
 
   // Average expected ratings over the auxiliary-document ensemble. Pass 0
   // uses the primary documents; later passes substitute each cold user's
@@ -820,11 +781,13 @@ std::vector<float> OmniMatchTrainer::PredictBatch(
       }
     }
     auto tgt = model_->ExtractUser(DomainSide::kTarget, flat, b);
-    accumulate(model_->RatingLogits(
-        OmniMatchModel::UserRepresentation(tgt), item_rep));
-    if (config_.use_hybrid_inference) {
-      Tensor hybrid = nn::ConcatCols({src.invariant, tgt.specific});
-      accumulate(model_->RatingLogits(hybrid, item_rep));
+    Tensor logits = model_->RatingLogits(
+        OmniMatchModel::UserRepresentation(tgt), item_rep);
+    for (int i = 0; i < b; ++i) {
+      preds[static_cast<size_t>(i)] +=
+          weight * OmniMatchModel::ExpectedRating(
+                       logits.data().data() + static_cast<size_t>(i) * classes,
+                       classes);
     }
   }
   return preds;
@@ -860,120 +823,6 @@ eval::Metrics OmniMatchTrainer::Evaluate(const std::vector<int>& users) {
   // failing — count == 0 tells the caller nothing was measured.
   Result<eval::Metrics> result = acc.Finalize();
   return result.ok() ? result.value() : eval::Metrics{};
-}
-
-namespace {
-
-/// OMWT weight-file framing, the checkpoint (OMCK) discipline scaled down:
-/// magic + version + payload size + payload CRC-32 header, then the
-/// length-prefixed parameter payload, written atomically (tmp + fsync +
-/// rename). The old format was a bare ofstream dump: a crash mid-write left
-/// a torn file at the final path, bit flips loaded silently, and trailing
-/// garbage was never noticed.
-constexpr char kWeightsMagic[4] = {'O', 'M', 'W', 'T'};
-constexpr uint32_t kWeightsVersion = 1;
-constexpr size_t kWeightsHeaderSize = 4 + 4 + 8 + 4;
-
-}  // namespace
-
-Status OmniMatchTrainer::SaveWeights(const std::string& path) const {
-  OM_CHECK(prepared_) << "call Prepare() first";
-  std::vector<nn::Tensor> params = model_->Parameters();
-  ByteWriter body;
-  body.Write<uint64_t>(params.size());
-  for (const nn::Tensor& p : params) {
-    body.WriteVector(p.data());
-  }
-  std::string payload = body.Release();
-  ByteWriter file;
-  file.Write<char>(kWeightsMagic[0]);
-  file.Write<char>(kWeightsMagic[1]);
-  file.Write<char>(kWeightsMagic[2]);
-  file.Write<char>(kWeightsMagic[3]);
-  file.Write<uint32_t>(kWeightsVersion);
-  file.Write<uint64_t>(payload.size());
-  file.Write<uint32_t>(Crc32(payload));
-  std::string out = file.Release();
-  out += payload;
-  return WriteFileAtomic(path, out);
-}
-
-Status OmniMatchTrainer::LoadWeights(const std::string& path) {
-  OM_CHECK(prepared_) << "call Prepare() first";
-  Result<std::string> file = ReadFileToString(path);
-  if (!file.ok()) return file.status();
-  const std::string& raw = file.value();
-
-  if (raw.size() < kWeightsHeaderSize) {
-    return Status::InvalidArgument(path + ": too small to be a weight file");
-  }
-  ByteReader header(std::string_view(raw).substr(0, kWeightsHeaderSize));
-  char magic[4];
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t crc = 0;
-  header.Read(&magic[0]);
-  header.Read(&magic[1]);
-  header.Read(&magic[2]);
-  header.Read(&magic[3]);
-  header.Read(&version);
-  header.Read(&payload_size);
-  header.Read(&crc);
-  if (std::memcmp(magic, kWeightsMagic, 4) != 0) {
-    return Status::InvalidArgument(path + ": not a weight file");
-  }
-  if (version != kWeightsVersion) {
-    return Status::InvalidArgument(
-        StrFormat("%s: weight file version %u, this build reads %u",
-                  path.c_str(), version, kWeightsVersion));
-  }
-  // An exact size match rejects both truncation AND trailing garbage — an
-  // appended byte is as much corruption as a missing one.
-  if (raw.size() - kWeightsHeaderSize != payload_size) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: payload is %zu bytes, header promises %llu "
-        "(truncated or trailing garbage)",
-        path.c_str(), raw.size() - kWeightsHeaderSize,
-        static_cast<unsigned long long>(payload_size)));
-  }
-  std::string_view payload = std::string_view(raw).substr(kWeightsHeaderSize);
-  if (Crc32(payload) != crc) {
-    return Status::InvalidArgument(path + ": payload checksum mismatch");
-  }
-
-  std::vector<nn::Tensor> params = model_->Parameters();
-  ByteReader r(payload);
-  uint64_t count = 0;
-  if (!r.Read(&count)) {
-    return Status::InvalidArgument(path + ": truncated weight payload");
-  }
-  if (count != params.size()) {
-    return Status::InvalidArgument(
-        StrFormat("%s holds %llu parameters, model has %zu", path.c_str(),
-                  static_cast<unsigned long long>(count), params.size()));
-  }
-  // Parse EVERYTHING into staging before touching the model: a shape
-  // mismatch halfway through must not leave half-restored parameters.
-  std::vector<std::vector<float>> staged(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (!r.ReadVector(&staged[i])) {
-      return Status::InvalidArgument(path + ": truncated weight payload");
-    }
-    if (staged[i].size() != params[i].data().size()) {
-      return Status::InvalidArgument(
-          StrFormat("%s: parameter %zu has %zu values, model expects %zu",
-                    path.c_str(), i, staged[i].size(),
-                    params[i].data().size()));
-    }
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument(path +
-                                   ": trailing bytes after weight payload");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].data() = std::move(staged[i]);
-  }
-  return Status::OK();
 }
 
 Status OmniMatchTrainer::SaveCheckpoint(const std::string& path) const {

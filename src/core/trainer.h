@@ -78,8 +78,10 @@ class OmniMatchTrainer {
   /// as cold-start: their target documents are the auxiliary documents).
   eval::Metrics Evaluate(const std::vector<int>& users);
 
-  /// Expected rating (sum_k k * p(k)) for one user-item pair. Unknown users
-  /// or items fall back to the target domain's global mean rating.
+  /// Expected rating (sum_k k * p(k)) for one user-item pair. Users with no
+  /// target document fall back to the target domain's global mean rating;
+  /// items outside the target domain are scored against the all-pad item
+  /// document. serve::Scorer mirrors both rules.
   float PredictRating(int user_id, int item_id);
 
   /// Diagnostic: replaces the stored target documents of `users` with
@@ -88,20 +90,6 @@ class OmniMatchTrainer {
   /// auxiliary documents could achieve — the gap between this oracle and the
   /// normal evaluation isolates the Algorithm 1 contribution.
   void UseOracleTargetDocs(const std::vector<int>& users);
-
-  /// Persists the trained weights (all model parameters, in Parameters()
-  /// order) to a binary OMWT file. The architecture itself is not stored:
-  /// load into a trainer Prepared with the same config and data. Crash-safe
-  /// like SaveCheckpoint: staged to a tmp file, fsync'd, renamed into
-  /// place, with a CRC-32 over the payload — a crash leaves the old file or
-  /// the new one, never a torn half-write.
-  Status SaveWeights(const std::string& path) const;
-
-  /// Restores weights saved by SaveWeights. Fails with InvalidArgument when
-  /// the parameter count or any shape differs, when the checksum does not
-  /// match, or when the file is truncated or carries trailing bytes; the
-  /// model is untouched unless the whole file validates.
-  Status LoadWeights(const std::string& path);
 
   /// Writes a crash-safe, CRC-protected checkpoint of the FULL training
   /// state: parameters, optimizer accumulators, both RNG streams, the
@@ -131,9 +119,6 @@ class OmniMatchTrainer {
   const data::ColdStartSplit& split() const { return split_; }
   /// Fixed evaluation-time documents, exposed read-only so an inference
   /// snapshot (src/serve) can be exported without re-deriving them.
-  const std::unordered_map<int, std::vector<int>>& user_source_docs() const {
-    return user_source_docs_;
-  }
   const std::unordered_map<int, std::vector<int>>& user_target_docs() const {
     return user_target_docs_;
   }

@@ -166,19 +166,18 @@ float ActivationCalibrator::ComputeScale(double quantile) const {
   return static_cast<float>(clip / 127.0);
 }
 
-bool ShouldQuantizeNode(const QuantOptions& options, int k, int n,
-                        std::string* reason) {
-  if (k < options.min_k) {
+bool ShouldQuantizeNode(int k, int n, std::string* reason) {
+  if (k < kQuantMinK) {
     if (reason != nullptr) {
       *reason = "K=" + std::to_string(k) + " below min_k=" +
-                std::to_string(options.min_k);
+                std::to_string(kQuantMinK);
     }
     return false;
   }
-  if (n < options.min_n) {
+  if (n < kQuantMinN) {
     if (reason != nullptr) {
       *reason = "N=" + std::to_string(n) + " below min_n=" +
-                std::to_string(options.min_n);
+                std::to_string(kQuantMinN);
     }
     return false;
   }

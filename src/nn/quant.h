@@ -36,21 +36,18 @@ namespace quant {
 /// quantized path's results do not depend on the dispatched ISA, and the
 /// per-ISA equivalence test can assert full-output bit-identity.
 
-/// Tuning knobs for calibration and per-node planning.
-struct QuantOptions {
-  /// Quantile of the |activation| histogram used as the clip point
-  /// (clamped to the exact observed max — the histogram's bucket upper
-  /// bound can overshoot it by one bucket ratio). 1.0 = use the max.
-  double calibration_quantile = 0.9995;
-  /// Rows of calibration input sampled per layer (snapshot load caps this
-  /// at what the frozen world offers).
-  int calibration_rows = 256;
-  /// Per-node planning floors: a Linear with K < min_k or N < min_n stays
-  /// float32 — the quantize/dequantize round trip would cost more than the
-  /// integer GEMM saves.
-  int min_k = 16;
-  int min_n = 4;
-};
+/// Quantile of the |activation| histogram used as the clip point (clamped
+/// to the exact observed max — the histogram's bucket upper bound can
+/// overshoot it by one bucket ratio).
+inline constexpr double kCalibrationQuantile = 0.9995;
+/// Rows of calibration input sampled per layer (snapshot load caps this at
+/// what the frozen world offers).
+inline constexpr int kCalibrationRows = 256;
+/// Per-node planning floors: a Linear with K < kQuantMinK or N < kQuantMinN
+/// stays float32 — the quantize/dequantize round trip would cost more than
+/// the integer GEMM saves.
+inline constexpr int kQuantMinK = 16;
+inline constexpr int kQuantMinN = 4;
 
 /// A Linear weight quantized per output channel into the kernels' NT
 /// layout.
@@ -123,9 +120,9 @@ struct QuantPlan {
   std::string ToString() const;
 };
 
-/// The planning rule, exposed for tests: int8 iff k >= min_k && n >= min_n.
-bool ShouldQuantizeNode(const QuantOptions& options, int k, int n,
-                        std::string* reason);
+/// The planning rule, exposed for tests: int8 iff k >= kQuantMinK &&
+/// n >= kQuantMinN.
+bool ShouldQuantizeNode(int k, int n, std::string* reason);
 
 /// A frozen affine layer y = x·Wq + b (optional fused ReLU) running on the
 /// int8 kernels: quantize rows of x with the calibrated input scale, one

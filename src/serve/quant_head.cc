@@ -12,13 +12,11 @@ namespace serve {
 
 using nn::quant::ActivationCalibrator;
 using nn::quant::QuantNode;
-using nn::quant::QuantOptions;
 using nn::quant::QuantizedLinear;
 using nn::quant::ShouldQuantizeNode;
 
 std::unique_ptr<QuantizedRatingHead> QuantizedRatingHead::Build(
-    const core::OmniMatchModel& model, const nn::quant::QuantOptions& options,
-    const CalibrationSample& calibration) {
+    const core::OmniMatchModel& model, const CalibrationSample& calibration) {
   if (calibration.rows <= 0) return nullptr;
 
   const int f = model.config().feature_dim;
@@ -92,13 +90,13 @@ std::unique_ptr<QuantizedRatingHead> QuantizedRatingHead::Build(
   // --- Plan + quantize ---------------------------------------------------
   head->plan_.isa = std::min(ActiveIsa(), nn::int8gemm::BestCompiledIsa());
   if (inter) {
-    BuildNode(*inter, "interaction_proj", /*relu=*/false, options, inter_calib,
+    BuildNode(*inter, "interaction_proj", /*relu=*/false, inter_calib,
               &head->interaction_, &head->plan_.nodes);
   }
   head->mlp_.resize(n_layers);
   for (size_t i = 0; i < n_layers; ++i) {
     BuildNode(mlp.layer(i), "rating_mlp." + std::to_string(i),
-              /*relu=*/i + 1 < n_layers, options, mlp_calibs[i],
+              /*relu=*/i + 1 < n_layers, mlp_calibs[i],
               &head->mlp_[i], &head->plan_.nodes);
   }
   return head;
@@ -106,14 +104,13 @@ std::unique_ptr<QuantizedRatingHead> QuantizedRatingHead::Build(
 
 void QuantizedRatingHead::BuildNode(
     const nn::Linear& linear, const std::string& name, bool relu,
-    const QuantOptions& options, const ActivationCalibrator& calibrator,
-    Node* node, std::vector<QuantNode>* plan_nodes) {
+    const ActivationCalibrator& calibrator, Node* node,
+    std::vector<QuantNode>* plan_nodes) {
   QuantNode record;
   record.name = name;
   record.k = linear.in_features();
   record.n = linear.out_features();
-  record.int8 =
-      ShouldQuantizeNode(options, record.k, record.n, &record.reason);
+  record.int8 = ShouldQuantizeNode(record.k, record.n, &record.reason);
 
   node->in = record.k;
   node->out = record.n;
@@ -121,7 +118,7 @@ void QuantizedRatingHead::BuildNode(
   if (record.int8) {
     node->int8 = std::make_unique<QuantizedLinear>(
         linear.weight(), linear.bias(),
-        calibrator.ComputeScale(options.calibration_quantile), relu);
+        calibrator.ComputeScale(nn::quant::kCalibrationQuantile), relu);
   } else {
     node->weight = linear.weight().data();
     node->bias = linear.bias().data();

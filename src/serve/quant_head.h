@@ -32,9 +32,9 @@ namespace serve {
 class QuantizedRatingHead {
  public:
   /// Representative eval-path inputs for calibration: flattened row-major
-  /// user representation rows [rows, user_width] (invariant ⊕ specific,
-  /// plus hybrid rows when hybrid inference is on — same width) and item
-  /// representation rows [rows, feature_dim], pre-paired positionally.
+  /// user representation rows [rows, user_width] (invariant ⊕ specific)
+  /// and item representation rows [rows, feature_dim], pre-paired
+  /// positionally.
   struct CalibrationSample {
     std::vector<float> user_rows;
     std::vector<float> item_rows;
@@ -46,9 +46,7 @@ class QuantizedRatingHead {
   /// is empty — there is nothing to calibrate against, so serving stays
   /// float32.
   static std::unique_ptr<QuantizedRatingHead> Build(
-      const core::OmniMatchModel& model,
-      const nn::quant::QuantOptions& options,
-      const CalibrationSample& calibration);
+      const core::OmniMatchModel& model, const CalibrationSample& calibration);
 
   /// Logits [rows, num_classes] for user rows [rows, user_width] and item
   /// rows [rows, feature_dim], row-aligned. Appends nothing; `logits` is
@@ -81,7 +79,7 @@ class QuantizedRatingHead {
   /// Fills `node` from a frozen Linear — quantized when the planner says
   /// so, a retained-float copy otherwise — and appends its plan record.
   static void BuildNode(const nn::Linear& linear, const std::string& name,
-                        bool relu, const nn::quant::QuantOptions& options,
+                        bool relu,
                         const nn::quant::ActivationCalibrator& calibrator,
                         Node* node, std::vector<nn::quant::QuantNode>* nodes);
 

@@ -1,7 +1,7 @@
 #include "serve/scorer.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -18,11 +18,8 @@ using nn::Tensor;
 
 namespace {
 
-/// Admission/extraction chunk sizes. Every forward here is row-independent
-/// (blocked GEMM accumulates each output element over K in a fixed order,
-/// conv/pooling are per-row, dropout is a no-op in eval), so chunking
-/// changes wall-clock shape but never a single output bit.
-constexpr int kExtractChunkRows = 256;
+/// Rating-head chunk size. The head is row-independent like the extractors
+/// (see ModelSnapshot::UserRows), so chunking never changes an output bit.
 constexpr int kHeadChunkRows = 1024;
 
 obs::Counter* ColdAdmissions() {
@@ -59,14 +56,6 @@ obs::Histogram* AdmitHist() {
   static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
       "serve.admit_ns", obs::Histogram::LatencyBoundsNs());
   return h;
-}
-
-/// Copies row `row` of a [B, width] tensor into `dst` (appending).
-void AppendRow(const Tensor& t, int row, std::vector<float>* dst) {
-  const std::vector<float>& data = t.data();
-  const int width = t.dim(1);
-  const float* src = data.data() + static_cast<size_t>(row) * width;
-  dst->insert(dst->end(), src, src + width);
 }
 
 }  // namespace
@@ -144,101 +133,22 @@ std::vector<std::shared_ptr<const UserEntry>> Scorer::GetOrAdmit(
   if (pending.empty()) return out;
 
   obs::TraceSpan span("serve.admit", AdmitHist());
-  const core::OmniMatchConfig& config = snap.config();
-  OmniMatchModel* model = snap.model();
-  const int doc_len = config.doc_len;
-
-  // Flatten every (user, pass) document into one row list, then extract in
-  // chunks — row independence makes the chunked batch bit-identical to any
-  // other batching of the same rows.
-  std::vector<std::pair<size_t, int>> row_owner;  // (pending idx, pass)
-  for (size_t p = 0; p < pending.size(); ++p) {
-    for (size_t k = 0; k < pending[p].docs.size(); ++k) {
-      row_owner.emplace_back(p, static_cast<int>(k));
-    }
+  // Every (user, pass) document in one row list, extracted in one call.
+  std::vector<const std::vector<int>*> docs;
+  for (const Pending& p : pending) {
+    docs.insert(docs.end(), p.docs.begin(), p.docs.end());
   }
-  std::vector<std::shared_ptr<UserEntry>> entries(pending.size());
-  for (size_t p = 0; p < pending.size(); ++p) {
-    entries[p] = std::make_shared<UserEntry>();
-    entries[p]->cold_admitted = pending[p].cold;
-    entries[p]->rep_rows.resize(pending[p].docs.size());
-    if (config.use_hybrid_inference) {
-      entries[p]->hybrid_rows.resize(pending[p].docs.size());
-    }
-  }
-
-  std::vector<std::vector<float>> specific_rows(row_owner.size());
-  for (size_t begin = 0; begin < row_owner.size();
-       begin += kExtractChunkRows) {
-    const size_t end =
-        std::min(row_owner.size(), begin + kExtractChunkRows);
-    std::vector<int> flat;
-    flat.reserve((end - begin) * static_cast<size_t>(doc_len));
-    for (size_t r = begin; r < end; ++r) {
-      const std::vector<int>& doc =
-          *pending[row_owner[r].first].docs[static_cast<size_t>(
-              row_owner[r].second)];
-      OM_CHECK_EQ(doc.size(), static_cast<size_t>(doc_len));
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    OmniMatchModel::UserFeatures feat = model->ExtractUser(
-        data::DomainSide::kTarget, flat, static_cast<int>(end - begin));
-    for (size_t r = begin; r < end; ++r) {
-      const int local = static_cast<int>(r - begin);
-      std::vector<float>& rep =
-          entries[row_owner[r].first]
-              ->rep_rows[static_cast<size_t>(row_owner[r].second)];
-      // r = invariant ⊕ specific (UserRepresentation / Eq. 10) — plain
-      // concatenation, so assembling it from the feature rows is exact.
-      AppendRow(feat.invariant, local, &rep);
-      AppendRow(feat.specific, local, &rep);
-      if (config.use_hybrid_inference) {
-        AppendRow(feat.specific, local, &specific_rows[r]);
-      }
-    }
-  }
-
-  if (config.use_hybrid_inference) {
-    // One source-side row per pending user; unknown users gather the pad
-    // document (the trainer's GatherDocs fallback).
-    for (size_t begin = 0; begin < pending.size();
-         begin += kExtractChunkRows) {
-      const size_t end =
-          std::min(pending.size(), begin + kExtractChunkRows);
-      std::vector<int> flat;
-      flat.reserve((end - begin) * static_cast<size_t>(doc_len));
-      for (size_t p = begin; p < end; ++p) {
-        const auto& source_docs = snap.user_source_docs();
-        auto it = source_docs.find(users[pending[p].slot]);
-        const std::vector<int>& doc =
-            it != source_docs.end() ? it->second : snap.pad_user_doc();
-        flat.insert(flat.end(), doc.begin(), doc.end());
-      }
-      OmniMatchModel::UserFeatures src = model->ExtractUser(
-          data::DomainSide::kSource, flat, static_cast<int>(end - begin));
-      for (size_t p = begin; p < end; ++p) {
-        std::vector<float> inv_row;
-        AppendRow(src.invariant, static_cast<int>(p - begin), &inv_row);
-        for (size_t k = 0; k < entries[p]->hybrid_rows.size(); ++k) {
-          entries[p]->hybrid_rows[k] = inv_row;
-        }
-      }
-    }
-    // hybrid = source-invariant ⊕ target-specific (the trainer's hybrid
-    // readout input).
-    for (size_t r = 0; r < row_owner.size(); ++r) {
-      std::vector<float>& row =
-          entries[row_owner[r].first]
-              ->hybrid_rows[static_cast<size_t>(row_owner[r].second)];
-      row.insert(row.end(), specific_rows[r].begin(), specific_rows[r].end());
-    }
-  }
-
-  for (size_t p = 0; p < pending.size(); ++p) {
+  std::vector<std::vector<float>> rows = snap.UserRows(docs);
+  auto row = rows.begin();
+  for (const Pending& p : pending) {
+    auto entry = std::make_shared<UserEntry>();
+    entry->rep_rows.assign(std::make_move_iterator(row),
+                           std::make_move_iterator(row + p.docs.size()));
+    row += p.docs.size();
     Admissions()->Increment();
-    if (pending[p].cold) ColdAdmissions()->Increment();
-    cache_.Put(version, users[pending[p].slot], entries[p]);
-    out[pending[p].slot] = std::move(entries[p]);
+    if (p.cold) ColdAdmissions()->Increment();
+    cache_.Put(version, users[p.slot], entry);
+    out[p.slot] = std::move(entry);
   }
   return out;
 }
@@ -306,38 +216,23 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
   // Item representations, one extractor row per DISTINCT item among the
   // requests that will reach the rating head (row independence again: the
   // shared row is bit-identical to the per-request row the trainer would
-  // compute).
-  std::vector<int> items;
+  // compute). Items outside the target domain get the all-pad document,
+  // as in the trainer.
+  std::vector<const std::vector<int>*> item_docs;
   std::unordered_map<int, size_t> item_slot;
   for (size_t i = 0; i < requests.size(); ++i) {
     const UserEntry* entry = entries[user_slot[requests[i].user]].get();
     if (entry == nullptr || entry->fallback) continue;
-    if (item_slot.emplace(requests[i].item, items.size()).second) {
-      items.push_back(requests[i].item);
+    if (item_slot.emplace(requests[i].item, item_docs.size()).second) {
+      auto it = snap->item_docs().find(requests[i].item);
+      item_docs.push_back(it != snap->item_docs().end() ? &it->second
+                                                        : &snap->pad_item_doc());
     }
   }
-  std::vector<std::vector<float>> item_rows(items.size());
-  for (size_t begin = 0; begin < items.size(); begin += kExtractChunkRows) {
-    const size_t end = std::min(items.size(), begin + kExtractChunkRows);
-    std::vector<int> flat;
-    flat.reserve((end - begin) * static_cast<size_t>(config.item_doc_len));
-    for (size_t i = begin; i < end; ++i) {
-      const auto& docs = snap->item_docs();
-      auto it = docs.find(items[i]);
-      const std::vector<int>& doc =
-          it != docs.end() ? it->second : snap->pad_item_doc();
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    Tensor rep = model->ExtractItem(flat, static_cast<int>(end - begin));
-    for (size_t i = begin; i < end; ++i) {
-      AppendRow(rep, static_cast<int>(i - begin), &item_rows[i]);
-    }
-  }
+  const std::vector<std::vector<float>> item_rows = snap->ItemRows(item_docs);
 
-  // Assemble the rating-head rows: per request, pass 0..N in order, plain
-  // readout then (when enabled) the hybrid readout — the exact accumulation
-  // order of PredictBatch on a batch of one.
-  const int readouts = config.use_hybrid_inference ? 2 : 1;
+  // Assemble the rating-head rows: per request, pass 0..N in order — the
+  // exact accumulation order of PredictBatch on a batch of one.
   const int classes = config.num_rating_classes;
   std::vector<const std::vector<float>*> head_user_rows;
   std::vector<const std::vector<float>*> head_item_rows;
@@ -353,16 +248,11 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
     const std::vector<float>& item_row =
         item_rows[item_slot[requests[i].item]];
     const int passes = entry->passes();
-    weight[i] = 1.0f / static_cast<float>(passes * readouts);
+    weight[i] = 1.0f / static_cast<float>(passes);
     for (int k = 0; k < passes; ++k) {
       head_user_rows.push_back(&entry->rep_rows[static_cast<size_t>(k)]);
       head_item_rows.push_back(&item_row);
       head_request.push_back(i);
-      if (config.use_hybrid_inference) {
-        head_user_rows.push_back(&entry->hybrid_rows[static_cast<size_t>(k)]);
-        head_item_rows.push_back(&item_row);
-        head_request.push_back(i);
-      }
     }
   }
   if (head_user_rows.empty()) return out;
@@ -400,22 +290,13 @@ std::vector<ScoredValue> Scorer::ScoreBatchWith(
           Tensor::FromData({rows, item_width}, std::move(item_data)));
       logit_rows = logits.data().data();
     }
-    // Softmax-expected rating per row, accumulated exactly like the
-    // trainer: max-subtracted exp in double, final product in float.
+    // The trainer's readout, accumulated in the trainer's order.
     for (int r = 0; r < rows; ++r) {
-      const float* row = logit_rows + static_cast<size_t>(r) * classes;
-      float max_v = row[0];
-      for (int c = 1; c < classes; ++c) {
-        max_v = std::max(max_v, row[c]);
-      }
-      double sum = 0.0, weighted = 0.0;
-      for (int c = 0; c < classes; ++c) {
-        double e = std::exp(static_cast<double>(row[c]) - max_v);
-        sum += e;
-        weighted += e * (c + 1);
-      }
       const size_t req = head_request[begin + static_cast<size_t>(r)];
-      out[req].score += weight[req] * static_cast<float>(weighted / sum);
+      out[req].score +=
+          weight[req] * OmniMatchModel::ExpectedRating(
+                            logit_rows + static_cast<size_t>(r) * classes,
+                            classes);
     }
   }
   return out;

@@ -28,8 +28,8 @@ struct ScoredValue {
 /// Evaluates (user, item) requests against a ModelSnapshot, mirroring the
 /// trainer's evaluation math bit-for-bit (see DESIGN.md "Serving"):
 /// expected rating = mean over the auxiliary-document ensemble of
-/// softmax-expected ratings, computed per row in double exactly like
-/// OmniMatchTrainer::PredictBatch.
+/// softmax-expected ratings (OmniMatchModel::ExpectedRating, the trainer's
+/// own readout), accumulated in PredictBatch's order.
 ///
 /// The per-user target representations — the TextCNN forward that dominates
 /// request cost — are computed once at admission and held in an LRU cache
@@ -85,13 +85,7 @@ class Scorer {
   /// until LRU pressure cleared them). Safe to call while executors score.
   void SetSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
-  /// The current snapshot, by reference. Only meaningful when no concurrent
-  /// SetSnapshot can run (tests, single-owner setups); prefer
-  /// CurrentSnapshot() otherwise.
-  const ModelSnapshot& snapshot() const { return *CurrentSnapshot(); }
-
   const UserEmbeddingCache& cache() const { return cache_; }
-  UserEmbeddingCache& mutable_cache() { return cache_; }
 
  private:
   /// Looks up each user's entry. With `admit_missing`, computes and caches

@@ -332,15 +332,5 @@ InferenceServer::Stats InferenceServer::stats() const {
   return stats_;
 }
 
-int64_t InferenceServer::requests_served() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.requests_served;
-}
-
-int64_t InferenceServer::batches_dispatched() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.batches_dispatched;
-}
-
 }  // namespace serve
 }  // namespace omnimatch

@@ -136,13 +136,9 @@ class InferenceServer {
   void Shutdown();
 
   const Scorer& scorer() const { return *scorer_; }
-  Scorer& mutable_scorer() { return *scorer_; }
   const Options& options() const { return options_; }
 
   Stats stats() const;
-  /// Legacy accessors (pre-Stats callers).
-  int64_t requests_served() const;
-  int64_t batches_dispatched() const;
 
  private:
   struct Pending {

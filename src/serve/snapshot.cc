@@ -29,26 +29,48 @@ uint64_t SnapshotVersion(uint64_t fingerprint, int32_t epochs, int64_t steps,
   return v;
 }
 
-/// Copies row `row` of a [B, width] tensor into `dst` (appending).
-void AppendTensorRow(const nn::Tensor& t, int row, std::vector<float>* dst) {
-  const std::vector<float>& data = t.data();
-  const int width = t.dim(1);
-  const float* src = data.data() + static_cast<size_t>(row) * width;
-  dst->insert(dst->end(), src, src + width);
+/// Extraction chunk size. Every extractor forward is row-independent
+/// (blocked GEMM accumulates each output element over K in a fixed order,
+/// conv/pooling are per-row, dropout is a no-op in eval), so chunking
+/// changes wall-clock shape but never a single output bit.
+constexpr int kExtractChunkRows = 256;
+
+/// Runs `extract` over `docs` (each `doc_len` tokens) in chunks of
+/// kExtractChunkRows and returns one row per document: its rows of every
+/// [chunk, width] tensor `extract` returns, concatenated in order.
+template <typename Extract>
+std::vector<std::vector<float>> ExtractRows(
+    const std::vector<const std::vector<int>*>& docs, int doc_len,
+    Extract extract) {
+  std::vector<std::vector<float>> rows(docs.size());
+  for (size_t begin = 0; begin < docs.size(); begin += kExtractChunkRows) {
+    const size_t end = std::min(docs.size(), begin + kExtractChunkRows);
+    std::vector<int> flat;
+    flat.reserve((end - begin) * static_cast<size_t>(doc_len));
+    for (size_t r = begin; r < end; ++r) {
+      OM_CHECK_EQ(docs[r]->size(), static_cast<size_t>(doc_len));
+      flat.insert(flat.end(), docs[r]->begin(), docs[r]->end());
+    }
+    const std::vector<nn::Tensor> parts =
+        extract(flat, static_cast<int>(end - begin));
+    for (size_t r = begin; r < end; ++r) {
+      for (const nn::Tensor& t : parts) {
+        const size_t width = static_cast<size_t>(t.dim(1));
+        const float* src = t.data().data() + (r - begin) * width;
+        rows[r].insert(rows[r].end(), src, src + width);
+      }
+    }
+  }
+  return rows;
 }
 
 /// Representative (user representation, item representation) pairs for
 /// quantization calibration, computed with the float path over the frozen
 /// evaluation documents in sorted-id order (deterministic: the sample — and
 /// therefore every calibrated scale — is a pure function of the snapshot).
-/// When hybrid inference is on, each user also contributes its hybrid row
-/// (source-invariant ⊕ target-specific): the quantized head serves those
-/// rows too, so calibration must see their distribution.
 QuantizedRatingHead::CalibrationSample BuildCalibrationSample(
-    const ModelSnapshot& snap, int max_rows) {
+    const ModelSnapshot& snap) {
   QuantizedRatingHead::CalibrationSample sample;
-  if (max_rows <= 0) return sample;
-
   std::vector<int> user_ids, item_ids;
   user_ids.reserve(snap.user_target_docs().size());
   for (const auto& kv : snap.user_target_docs()) user_ids.push_back(kv.first);
@@ -58,87 +80,23 @@ QuantizedRatingHead::CalibrationSample BuildCalibrationSample(
   std::sort(user_ids.begin(), user_ids.end());
   std::sort(item_ids.begin(), item_ids.end());
 
-  const core::OmniMatchConfig& config = snap.config();
-  core::OmniMatchModel* model = snap.model();
   const int pairs = std::min<int>(
-      max_rows,
+      nn::quant::kCalibrationRows,
       static_cast<int>(std::max(user_ids.size(), item_ids.size())));
-  constexpr int kChunkRows = 256;
-
-  // Target-side user representations (invariant ⊕ specific), and the pieces
-  // hybrid rows are assembled from.
-  std::vector<float> target_rows, specific_rows;
-  for (int begin = 0; begin < pairs; begin += kChunkRows) {
-    const int end = std::min(pairs, begin + kChunkRows);
-    std::vector<int> flat;
-    flat.reserve(static_cast<size_t>(end - begin) * config.doc_len);
-    for (int r = begin; r < end; ++r) {
-      const int user = user_ids[static_cast<size_t>(r) % user_ids.size()];
-      const std::vector<int>& doc = snap.user_target_docs().at(user);
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    core::OmniMatchModel::UserFeatures feat =
-        model->ExtractUser(data::DomainSide::kTarget, flat, end - begin);
-    for (int r = begin; r < end; ++r) {
-      AppendTensorRow(feat.invariant, r - begin, &target_rows);
-      AppendTensorRow(feat.specific, r - begin, &target_rows);
-      if (config.use_hybrid_inference) {
-        AppendTensorRow(feat.specific, r - begin, &specific_rows);
-      }
-    }
+  // Users and items cycle independently, paired positionally.
+  std::vector<const std::vector<int>*> user_docs, item_docs;
+  for (size_t r = 0; r < static_cast<size_t>(pairs); ++r) {
+    user_docs.push_back(
+        &snap.user_target_docs().at(user_ids[r % user_ids.size()]));
+    item_docs.push_back(&snap.item_docs().at(item_ids[r % item_ids.size()]));
   }
-
-  // Item representations, paired positionally.
-  std::vector<float> item_rows;
-  for (int begin = 0; begin < pairs; begin += kChunkRows) {
-    const int end = std::min(pairs, begin + kChunkRows);
-    std::vector<int> flat;
-    flat.reserve(static_cast<size_t>(end - begin) * config.item_doc_len);
-    for (int r = begin; r < end; ++r) {
-      const int item = item_ids[static_cast<size_t>(r) % item_ids.size()];
-      const std::vector<int>& doc = snap.item_docs().at(item);
-      flat.insert(flat.end(), doc.begin(), doc.end());
-    }
-    nn::Tensor rep = model->ExtractItem(flat, end - begin);
-    for (int r = begin; r < end; ++r) {
-      AppendTensorRow(rep, r - begin, &item_rows);
-    }
+  for (const std::vector<float>& row : snap.UserRows(user_docs)) {
+    sample.user_rows.insert(sample.user_rows.end(), row.begin(), row.end());
   }
-
-  sample.user_rows = std::move(target_rows);
-  sample.item_rows = item_rows;
+  for (const std::vector<float>& row : snap.ItemRows(item_docs)) {
+    sample.item_rows.insert(sample.item_rows.end(), row.begin(), row.end());
+  }
   sample.rows = pairs;
-
-  if (config.use_hybrid_inference) {
-    // Hybrid rows: source-invariant ⊕ target-specific for the same users
-    // (pad document when the user has no source reviews — the serving
-    // fallback), against the same item rows.
-    const int f = config.feature_dim;
-    for (int begin = 0; begin < pairs; begin += kChunkRows) {
-      const int end = std::min(pairs, begin + kChunkRows);
-      std::vector<int> flat;
-      flat.reserve(static_cast<size_t>(end - begin) * config.doc_len);
-      for (int r = begin; r < end; ++r) {
-        const int user = user_ids[static_cast<size_t>(r) % user_ids.size()];
-        auto it = snap.user_source_docs().find(user);
-        const std::vector<int>& doc = it != snap.user_source_docs().end()
-                                          ? it->second
-                                          : snap.pad_user_doc();
-        flat.insert(flat.end(), doc.begin(), doc.end());
-      }
-      core::OmniMatchModel::UserFeatures src =
-          model->ExtractUser(data::DomainSide::kSource, flat, end - begin);
-      for (int r = begin; r < end; ++r) {
-        AppendTensorRow(src.invariant, r - begin, &sample.user_rows);
-        const float* spec =
-            specific_rows.data() + static_cast<size_t>(r) * f;
-        sample.user_rows.insert(sample.user_rows.end(), spec, spec + f);
-      }
-    }
-    sample.item_rows.insert(sample.item_rows.end(), item_rows.begin(),
-                            item_rows.end());
-    sample.rows = 2 * pairs;
-  }
   return sample;
 }
 
@@ -168,7 +126,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
         ": checkpoint was written under a different config (fingerprint "
         "mismatch)");
   }
-  const bool use_best = options.prefer_best_params && !state.best_params.empty();
+  const bool use_best = !state.best_params.empty();
   std::vector<std::vector<float>>& chosen =
       use_best ? state.best_params : state.params;
 
@@ -179,12 +137,9 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   snapshot->vocab_ = trainer.vocabulary();
   snapshot->aux_generator_ = std::make_unique<core::AuxReviewGenerator>(
       cross, trainer.split().train_users, config.text_field);
-  snapshot->user_source_docs_ = trainer.user_source_docs();
   snapshot->user_target_docs_ = trainer.user_target_docs();
   snapshot->item_docs_ = trainer.item_docs();
   snapshot->cold_aux_doc_variants_ = trainer.cold_aux_doc_variants();
-  snapshot->pad_user_doc_.assign(static_cast<size_t>(config.doc_len),
-                                 text::Vocabulary::kPadId);
   snapshot->pad_item_doc_.assign(static_cast<size_t>(config.item_doc_len),
                                  text::Vocabulary::kPadId);
 
@@ -227,10 +182,8 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
     // installed. Runs the float eval path, so it must come after the
     // parameters and eval mode are in place. Null (float serving) when the
     // frozen world is empty — nothing to calibrate against.
-    QuantizedRatingHead::CalibrationSample sample = BuildCalibrationSample(
-        *snapshot, options.quant.calibration_rows);
-    snapshot->quant_head_ =
-        QuantizedRatingHead::Build(*snapshot->model_, options.quant, sample);
+    snapshot->quant_head_ = QuantizedRatingHead::Build(
+        *snapshot->model_, BuildCalibrationSample(*snapshot));
   }
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
 }
@@ -239,6 +192,25 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
     const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
     data::ColdStartSplit split, const std::string& checkpoint_path) {
   return Load(config, cross, std::move(split), checkpoint_path, Options());
+}
+
+std::vector<std::vector<float>> ModelSnapshot::UserRows(
+    const std::vector<const std::vector<int>*>& docs) const {
+  return ExtractRows(docs, config_.doc_len, [&](const std::vector<int>& flat,
+                                                int rows) {
+    core::OmniMatchModel::UserFeatures feat =
+        model_->ExtractUser(data::DomainSide::kTarget, flat, rows);
+    return std::vector<nn::Tensor>{feat.invariant, feat.specific};
+  });
+}
+
+std::vector<std::vector<float>> ModelSnapshot::ItemRows(
+    const std::vector<const std::vector<int>*>& docs) const {
+  return ExtractRows(docs, config_.item_doc_len,
+                     [&](const std::vector<int>& flat, int rows) {
+                       return std::vector<nn::Tensor>{
+                           model_->ExtractItem(flat, rows)};
+                     });
 }
 
 std::vector<std::vector<int>> ModelSnapshot::BuildColdUserDocs(

@@ -12,7 +12,6 @@
 #include "core/model.h"
 #include "data/dataset.h"
 #include "data/splits.h"
-#include "nn/quant.h"
 #include "serve/quant_head.h"
 #include "text/vocabulary.h"
 
@@ -42,26 +41,22 @@ namespace serve {
 class ModelSnapshot {
  public:
   struct Options {
-    /// Use the checkpoint's best-epoch parameters when it carries them
-    /// (select_best_epoch runs); fall back to the live parameters
-    /// otherwise.
-    bool prefer_best_params = true;
     /// Build the int8 quantized rating head at load (--quant serving mode):
     /// a float calibration pass over sampled frozen representations fixes
-    /// the activation scales, then the per-request two-GEMM rating head
-    /// runs on the runtime-dispatched int8 kernels. Admission, extractors
-    /// and the cache stay float32. OFF by default — the default serving
-    /// path is bit-identical to the trainer's PredictBatch.
+    /// the activation scales (nn/quant.h constants), then the per-request
+    /// two-GEMM rating head runs on the runtime-dispatched int8 kernels.
+    /// Admission, extractors and the cache stay float32. OFF by default —
+    /// the default serving path is bit-identical to the trainer's
+    /// PredictBatch.
     bool quantize = false;
-    /// Calibration / planning knobs for the quantized head.
-    nn::quant::QuantOptions quant;
   };
 
   /// Loads a snapshot for serving the given scenario. `cross` must outlive
   /// the snapshot (the dataset indices back online Algorithm 1 admission).
   /// Rebuilds vocabulary and documents exactly as the training run did
   /// (same config, same split, same seed => bit-identical documents), then
-  /// installs the checkpoint's parameters. Fails with InvalidArgument on a
+  /// installs the checkpoint's parameters (the best-epoch ones when the
+  /// checkpoint carries them). Fails with InvalidArgument on a
   /// fingerprint or shape mismatch, propagates I/O and corruption errors
   /// from the checkpoint reader.
   static Result<std::shared_ptr<const ModelSnapshot>> Load(
@@ -80,20 +75,13 @@ class ModelSnapshot {
   uint64_t version() const { return version_; }
 
   const core::OmniMatchConfig& config() const { return config_; }
-  const data::CrossDomainDataset* cross() const { return cross_; }
   const text::Vocabulary& vocabulary() const { return vocab_; }
-  const core::AuxReviewGenerator& aux_generator() const {
-    return *aux_generator_;
-  }
 
   /// The target domain's global mean rating — the scoring fallback for
   /// users the model has no usable representation for.
   float global_mean_rating() const { return global_mean_rating_; }
 
   /// Frozen evaluation documents (bit-identical to the trainer's).
-  const std::unordered_map<int, std::vector<int>>& user_source_docs() const {
-    return user_source_docs_;
-  }
   const std::unordered_map<int, std::vector<int>>& user_target_docs() const {
     return user_target_docs_;
   }
@@ -105,10 +93,19 @@ class ModelSnapshot {
     return cold_aux_doc_variants_;
   }
 
-  /// All-pad documents for unknown users/items (the trainer's GatherDocs
+  /// All-pad document for unknown items (the trainer's GatherDocs
   /// fallback).
-  const std::vector<int>& pad_user_doc() const { return pad_user_doc_; }
   const std::vector<int>& pad_item_doc() const { return pad_item_doc_; }
+
+  /// Target-side user representations (invariant ⊕ specific, Eq. 10), one
+  /// row per document of doc_len tokens. Every extractor forward is
+  /// row-independent, so a row is bit-identical to the one the trainer's
+  /// eval path computes for the same document in any batch.
+  std::vector<std::vector<float>> UserRows(
+      const std::vector<const std::vector<int>*>& docs) const;
+  /// Item representations, one row per document of item_doc_len tokens.
+  std::vector<std::vector<float>> ItemRows(
+      const std::vector<const std::vector<int>*>& docs) const;
 
   /// Runs Algorithm 1 online for a user the snapshot has no frozen target
   /// documents for, against the pre-built dataset indices. Deterministic:
@@ -143,12 +140,10 @@ class ModelSnapshot {
   std::unique_ptr<core::OmniMatchModel> model_;
   std::unique_ptr<QuantizedRatingHead> quant_head_;
 
-  std::unordered_map<int, std::vector<int>> user_source_docs_;
   std::unordered_map<int, std::vector<int>> user_target_docs_;
   std::unordered_map<int, std::vector<int>> item_docs_;
   std::unordered_map<int, std::vector<std::vector<int>>>
       cold_aux_doc_variants_;
-  std::vector<int> pad_user_doc_;
   std::vector<int> pad_item_doc_;
 };
 

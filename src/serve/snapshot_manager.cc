@@ -24,6 +24,10 @@ obs::Counter* SwapRollbackCounter() {
   return c;
 }
 
+/// Golden-probe grid side: kProbeSide users × kProbeSide items (capped by
+/// what the snapshot holds).
+constexpr int kProbeSide = 4;
+
 /// The `n` smallest keys of `map` in ascending order — a probe set that is
 /// a pure function of the snapshot contents.
 template <typename Map>
@@ -42,8 +46,6 @@ SnapshotManager::SnapshotManager(InferenceServer* server,
                                  const Options& options)
     : server_(server), options_(options) {
   OM_CHECK(server_ != nullptr);
-  OM_CHECK_GE(options_.probe_users, 0);
-  OM_CHECK_GE(options_.probe_items, 0);
 }
 
 SnapshotManager::SnapshotManager(InferenceServer* server)
@@ -92,9 +94,9 @@ Status SnapshotManager::SwapTo(
 Status SnapshotManager::ValidateProbes(
     const std::shared_ptr<const ModelSnapshot>& candidate) {
   const std::vector<int> users =
-      SmallestKeys(candidate->user_target_docs(), options_.probe_users);
+      SmallestKeys(candidate->user_target_docs(), kProbeSide);
   const std::vector<int> items =
-      SmallestKeys(candidate->item_docs(), options_.probe_items);
+      SmallestKeys(candidate->item_docs(), kProbeSide);
   if (users.empty() || items.empty()) return Status::OK();
 
   std::vector<ScoreRequest> probes;

@@ -34,8 +34,8 @@ namespace serve {
 /// which requests could observe a bad model.
 ///
 /// Golden-probe validation: the probe set is derived from the candidate
-/// itself (the lowest probe_users user ids with frozen target documents ×
-/// the lowest probe_items item ids), scored twice at full fidelity.
+/// itself (the 4 lowest user ids with frozen target documents × the 4
+/// lowest item ids), scored twice at full fidelity.
 /// Every score must be finite and inside [1, num_rating_classes], and the
 /// two runs must agree bit-for-bit — a cheap end-to-end exercise of the
 /// embedding, extractor, and head parameters that catches the classic
@@ -46,10 +46,6 @@ namespace serve {
 class SnapshotManager {
  public:
   struct Options {
-    /// Golden-probe grid: probe_users × probe_items requests (capped by
-    /// what the snapshot holds). 0 disables probe validation.
-    int probe_users = 4;
-    int probe_items = 4;
     ModelSnapshot::Options snapshot_options;
   };
 

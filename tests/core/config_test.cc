@@ -68,6 +68,16 @@ TEST(ConfigTest, ZeroEpochsAllowed) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
+// The digest keys checkpoints, cached benchmark fixtures and the snapshot
+// version that seeds online Algorithm 1 admission. Retiring a config field
+// must keep a constant in its slot so these values never move.
+TEST(ConfigTest, FingerprintIsPinned) {
+  OmniMatchConfig config;
+  EXPECT_EQ(config.Fingerprint(), 0x240c8e59b67edcc0ULL);
+  config.seed = 1009;
+  EXPECT_EQ(config.Fingerprint(), 0xab8ac7ef7fad141bULL);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace omnimatch

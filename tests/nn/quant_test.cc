@@ -263,16 +263,13 @@ TEST(CalibratorTest, EmptyOrZeroObservationsGiveZeroScale) {
 }
 
 TEST(QuantPlanTest, ShouldQuantizeNodeAppliesShapeFloors) {
-  QuantOptions options;
-  options.min_k = 16;
-  options.min_n = 4;
   std::string reason;
-  EXPECT_TRUE(ShouldQuantizeNode(options, 16, 4, &reason));
-  EXPECT_FALSE(ShouldQuantizeNode(options, 15, 4, &reason));
+  EXPECT_TRUE(ShouldQuantizeNode(16, 4, &reason));
+  EXPECT_FALSE(ShouldQuantizeNode(15, 4, &reason));
   EXPECT_NE(reason.find("min_k"), std::string::npos);
-  EXPECT_FALSE(ShouldQuantizeNode(options, 16, 3, &reason));
+  EXPECT_FALSE(ShouldQuantizeNode(16, 3, &reason));
   EXPECT_NE(reason.find("min_n"), std::string::npos);
-  EXPECT_TRUE(ShouldQuantizeNode(options, 16, 4, nullptr));
+  EXPECT_TRUE(ShouldQuantizeNode(16, 4, nullptr));
 }
 
 /// Builds a random QuantizedLinear plus its float twin's expected output.

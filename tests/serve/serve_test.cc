@@ -279,11 +279,11 @@ TEST(InferenceServerTest, CoalescesBurstIntoFewBatches) {
   }
   server.Shutdown();
 
-  EXPECT_EQ(static_cast<int64_t>(pairs.size()), server.requests_served());
+  EXPECT_EQ(static_cast<int64_t>(pairs.size()), server.stats().requests_served);
   // The whole burst was enqueued within one linger window, so it must have
   // coalesced into at most a couple of dispatches (exactly one when the
   // executor saw the full queue; two if it woke mid-enqueue).
-  EXPECT_LE(server.batches_dispatched(), 2);
+  EXPECT_LE(server.stats().batches_dispatched, 2);
 
   Scorer reference(w.snapshot, 256);
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -334,7 +334,7 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
   server.Shutdown();
 
   EXPECT_EQ(static_cast<int64_t>(kThreads * kRounds * pairs.size()),
-            server.requests_served());
+            server.stats().requests_served);
   for (int t = 0; t < kThreads; ++t) {
     for (int round = 0; round < kRounds; ++round) {
       for (size_t i = 0; i < pairs.size(); ++i) {
@@ -364,42 +364,6 @@ TEST(InferenceServerTest, ShutdownDrainsQueuedRequests) {
     EXPECT_GE(r.score, 1.0f);
     EXPECT_LE(r.score, 5.0f);
   }
-}
-
-TEST(ScorerTest, HybridInferenceMatchesTrainer) {
-  // Separate, smaller world: the shared one trains without hybrid readouts,
-  // and the hybrid rating head must be trained on hybrid inputs.
-  data::SyntheticConfig world_config;
-  world_config.num_users = 40;
-  world_config.items_per_domain = 20;
-  world_config.mean_reviews_per_user = 4;
-  world_config.seed = 33;
-  data::SyntheticWorld world(world_config);
-  data::CrossDomainDataset cross = world.MakePair("Books", "Movies");
-  Rng split_rng(9);
-  data::ColdStartSplit split = data::MakeColdStartSplit(cross, &split_rng);
-
-  core::OmniMatchConfig config = TinyModel();
-  config.epochs = 1;
-  config.use_hybrid_inference = true;
-  core::OmniMatchTrainer trainer(config, &cross, split);
-  ASSERT_TRUE(trainer.Prepare().ok());
-  trainer.Train();
-  const std::string path = testing::TempDir() + "/serve_hybrid.omck";
-  ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
-
-  Result<std::shared_ptr<const ModelSnapshot>> loaded =
-      ModelSnapshot::Load(config, &cross, split, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  Scorer scorer(loaded.value(), 64);
-  const std::vector<int>& items = cross.target().items();
-  for (size_t i = 0; i < std::min<size_t>(3, split.test_users.size()); ++i) {
-    const int user = split.test_users[i];
-    const int item = items[i % items.size()];
-    EXPECT_EQ(trainer.PredictRating(user, item), scorer.Score(user, item))
-        << "user " << user << " item " << item;
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace
