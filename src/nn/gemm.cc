@@ -47,7 +47,8 @@ constexpr int kNC = 512;
 // Computes a kMR x kNR tile of C from packed panels.
 // ap: kc x kMR (column i is row i0+i of A), bp: kc x kNR, both zero-padded.
 // The full-tile path reads and writes C directly; edge tiles go through a
-// local buffer so the zero padding never leaks out of bounds.
+// local buffer so the zero padding never leaks out of bounds. Both continue
+// C's running sum across K blocks.
 void MicroKernel(const float* ap, const float* bp, int kc, float* c, int ldc,
                  int mr, int nr) {
   float acc[kMR * kNR];
@@ -67,7 +68,12 @@ void MicroKernel(const float* ap, const float* bp, int kc, float* c, int ldc,
       for (int j = 0; j < kNR; ++j) c[i * ldc + j] = acc[i * kNR + j];
     }
   } else {
+    // Same running sum as the full tile (C's value is the starting point,
+    // not added at the end), so a row rounds identically in any batch.
     std::memset(acc, 0, sizeof(acc));
+    for (int i = 0; i < mr; ++i) {
+      for (int j = 0; j < nr; ++j) acc[i * kNR + j] = c[i * ldc + j];
+    }
     for (int k = 0; k < kc; ++k) {
       const float* arow = ap + static_cast<size_t>(k) * kMR;
       const float* brow = bp + static_cast<size_t>(k) * kNR;
@@ -77,7 +83,7 @@ void MicroKernel(const float* ap, const float* bp, int kc, float* c, int ldc,
       }
     }
     for (int i = 0; i < mr; ++i) {
-      for (int j = 0; j < nr; ++j) c[i * ldc + j] += acc[i * kNR + j];
+      for (int j = 0; j < nr; ++j) c[i * ldc + j] = acc[i * kNR + j];
     }
   }
 }

@@ -98,12 +98,9 @@ InferenceServer::InferenceServer(
     : options_(options),
       scorer_(std::make_unique<Scorer>(std::move(snapshot),
                                        options.cache_capacity)) {
-  OM_CHECK_GE(options_.max_batch, 1);
-  OM_CHECK_GE(options_.linger_us, 0);
   OM_CHECK_GE(options_.executors, 1);
+  OM_CHECK_GE(options_.max_queue, 1u);
   OM_CHECK_GE(options_.deadline_ms, 0);
-  OM_CHECK_GT(options_.degrade_cached_fill, 0.0);
-  OM_CHECK_GE(options_.degrade_fallback_fill, options_.degrade_cached_fill);
   executors_.reserve(static_cast<size_t>(options_.executors));
   for (int i = 0; i < options_.executors; ++i) {
     executors_.emplace_back([this] { ExecutorLoop(); });
@@ -130,8 +127,7 @@ std::future<ScoreResult> InferenceServer::ScoreAsync(int user, int item) {
     if (stopping_) {
       reject = RequestStatus::kShuttingDown;
       ++stats_.rejected_shutdown;
-    } else if ((options_.max_queue > 0 &&
-                queue_.size() >= options_.max_queue) ||
+    } else if (queue_.size() >= options_.max_queue ||
                FaultInjector::Global().ShouldFire("queue_admit")) {
       reject = RequestStatus::kOverloaded;
       ++stats_.rejected_overloaded;
@@ -184,12 +180,10 @@ void InferenceServer::Shutdown() {
 }
 
 ScoreMode InferenceServer::PickMode(size_t queued) const {
-  if (options_.max_queue > 0) {
-    const double fill = static_cast<double>(queued) /
-                        static_cast<double>(options_.max_queue);
-    if (fill >= options_.degrade_fallback_fill) return ScoreMode::kGlobalMean;
-    if (fill >= options_.degrade_cached_fill) return ScoreMode::kCachedOnly;
-  }
+  const double fill =
+      static_cast<double>(queued) / static_cast<double>(options_.max_queue);
+  if (fill >= kDegradeFallbackFill) return ScoreMode::kGlobalMean;
+  if (fill >= kDegradeCachedFill) return ScoreMode::kCachedOnly;
   return ScoreMode::kFull;
 }
 
@@ -202,29 +196,13 @@ void InferenceServer::ExecutorLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty() && stopping_) return;
-      if (static_cast<int>(queue_.size()) < options_.max_batch &&
-          !stopping_ && options_.linger_us > 0) {
-        // Linger is measured from the OLDEST request's arrival, not from
-        // when the executor noticed it: a request never waits more than
-        // linger_us for co-batchees regardless of executor scheduling.
-        const int64_t remaining_ns = options_.linger_us * 1000 -
-                                     (NowNs() - queue_.front().enqueue_ns);
-        if (remaining_ns > 0) {
-          cv_.wait_for(lock, std::chrono::nanoseconds(remaining_ns), [this] {
-            return stopping_ ||
-                   static_cast<int>(queue_.size()) >= options_.max_batch;
-          });
-        }
-      }
       // Tier from the PRE-POP fill level: the pressure that queued these
-      // requests is what degradation should react to. (Another executor may
-      // have raced us to the front — a now-empty queue just loops around.)
+      // requests is what degradation should react to.
       mode = PickMode(queue_.size());
       const int64_t now_ns = NowNs();
       batch.clear();
       expired.clear();
-      while (static_cast<int>(batch.size()) < options_.max_batch &&
-             !queue_.empty()) {
+      while (static_cast<int>(batch.size()) < kMaxBatch && !queue_.empty()) {
         Pending p = std::move(queue_.front());
         queue_.pop_front();
         // A request already past its deadline is answered here, unscored:

@@ -22,11 +22,11 @@ namespace serve {
 /// GEMM-friendly micro-batches and drives the Scorer.
 ///
 /// Batching semantics (see DESIGN.md "Serving"): an arriving request is
-/// appended to the queue. An executor dispatches a batch as soon as
-/// max_batch requests are waiting, or when the OLDEST waiting request has
-/// lingered linger_us microseconds — whichever comes first. An idle
-/// executor picks up a lone request after at most one linger, so the
-/// worst-case added latency is bounded while bursts still coalesce.
+/// appended to the queue. The moment an executor is free it dispatches
+/// everything queued, up to kMaxBatch requests, as one batch. A request
+/// never waits for co-batchees: an idle server scores a lone request at
+/// once, and under load the requests that arrived while every executor was
+/// busy coalesce into the next batch.
 ///
 /// Results are bit-identical to unbatched single-threaded scoring: every
 /// kernel on the scoring path is row-independent and the eval forward
@@ -42,9 +42,9 @@ namespace serve {
 ///    answered kDeadlineExceeded without scoring; the executor never burns
 ///    model time on an answer the caller has given up on.
 ///  * Graceful degradation — the scoring tier for each batch is chosen
-///    from the queue fill level at dispatch: below degrade_cached_fill the
+///    from the queue fill level at dispatch: below kDegradeCachedFill the
 ///    full path runs; above it admission work is shed (cache hits only,
-///    kDegradedCached / kDegradedFallback); above degrade_fallback_fill the
+///    kDegradedCached / kDegradedFallback); above kDegradeFallbackFill the
 ///    model is bypassed entirely (global-mean, kDegradedFallback). Every
 ///    response states its tier, so callers never mistake a degraded answer
 ///    for a full-fidelity one.
@@ -65,28 +65,25 @@ namespace serve {
 /// any number of threads.
 class InferenceServer {
  public:
+  /// Max requests per dispatched batch.
+  static constexpr int kMaxBatch = 32;
+  /// Queue-fill fractions (of max_queue) at which dispatch degrades to
+  /// cached-only and to global-mean scoring.
+  static constexpr double kDegradeCachedFill = 0.60;
+  static constexpr double kDegradeFallbackFill = 0.85;
+
   struct Options {
-    /// Max requests per dispatched batch.
-    int max_batch = 32;
-    /// Max time the oldest queued request waits before dispatch, in
-    /// microseconds. 0 = dispatch whatever is queued immediately.
-    int64_t linger_us = 200;
     /// User-embedding cache capacity (entries).
     size_t cache_capacity = 4096;
     /// Executor threads draining the queue concurrently. Results are
     /// bit-identical for any value; more threads buy throughput when
     /// batches are model-bound.
     int executors = 1;
-    /// Queue capacity; admissions beyond it are rejected kOverloaded.
-    /// 0 = unbounded (also disables fill-based degradation).
+    /// Queue capacity (>= 1); admissions beyond it are rejected kOverloaded.
     size_t max_queue = 1024;
     /// Per-request deadline, measured from enqueue; a request older than
     /// this at dispatch is answered kDeadlineExceeded unscored. 0 = none.
     int64_t deadline_ms = 0;
-    /// Queue-fill fractions (of max_queue) at which dispatch degrades to
-    /// cached-only and to global-mean scoring. Ignored when max_queue = 0.
-    double degrade_cached_fill = 0.60;
-    double degrade_fallback_fill = 0.85;
   };
 
   /// Monotonic counters since construction. `served_*` partition completed

@@ -43,13 +43,10 @@ std::vector<int> SmallestKeys(const Map& map, int n) {
 }  // namespace
 
 SnapshotManager::SnapshotManager(InferenceServer* server,
-                                 const Options& options)
-    : server_(server), options_(options) {
+                                 ModelSnapshot::Options snapshot_options)
+    : server_(server), snapshot_options_(snapshot_options) {
   OM_CHECK(server_ != nullptr);
 }
-
-SnapshotManager::SnapshotManager(InferenceServer* server)
-    : SnapshotManager(server, Options()) {}
 
 Status SnapshotManager::SwapFromCheckpoint(
     const core::OmniMatchConfig& config, const data::CrossDomainDataset* cross,
@@ -57,7 +54,7 @@ Status SnapshotManager::SwapFromCheckpoint(
   // Off the hot path from here to the final SwapSnapshot: the server keeps
   // serving the incumbent while we read, check, and probe the candidate.
   Result<std::shared_ptr<const ModelSnapshot>> loaded = ModelSnapshot::Load(
-      config, cross, split, checkpoint_path, options_.snapshot_options);
+      config, cross, split, checkpoint_path, snapshot_options_);
   if (!loaded.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++rollbacks_;

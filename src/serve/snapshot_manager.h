@@ -45,13 +45,10 @@ namespace serve {
 /// Thread-safe; swaps serialize against each other, never against scoring.
 class SnapshotManager {
  public:
-  struct Options {
-    ModelSnapshot::Options snapshot_options;
-  };
-
-  /// `server` must outlive the manager.
-  SnapshotManager(InferenceServer* server, const Options& options);
-  explicit SnapshotManager(InferenceServer* server);
+  /// `server` must outlive the manager. Candidates loaded from a checkpoint
+  /// use `snapshot_options` (e.g. quantize).
+  explicit SnapshotManager(InferenceServer* server,
+                           ModelSnapshot::Options snapshot_options = {});
 
   /// Loads, validates, and — on success — atomically installs the
   /// checkpoint at `checkpoint_path` for the serving scenario
@@ -76,7 +73,7 @@ class SnapshotManager {
   Status ValidateProbes(const std::shared_ptr<const ModelSnapshot>& candidate);
 
   InferenceServer* const server_;
-  const Options options_;
+  const ModelSnapshot::Options snapshot_options_;
 
   mutable std::mutex mu_;
   int64_t swaps_ = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -138,6 +140,61 @@ TEST(GemmTest, LargeKAccumulatesInBlockOrder) {
   reference::GemmNN(a.data(), b.data(), want.data(), m, k, n);
   GemmNN(a.data(), b.data(), got.data(), m, k, n);
   EXPECT_LE(MaxAbsDiff(want, got), 5e-4f);
+}
+
+TEST(GemmTest, RowsBitIdenticalAloneOrInBatchAcrossKBlocks) {
+  // Serving's row-independence contract: a row of C must not depend on how
+  // many other rows share the call, also when K spans several kKC blocks
+  // and C starts non-zero (backward accumulates into gradients). A row
+  // alone is an edge tile; inside M = 8 it is part of a full tile.
+  Rng rng(17);
+  for (int k : {300, 700}) {
+    for (int n : {40, 64}) {
+      for (int m : {5, 8, 9, 17}) {
+        for (bool zero_c : {true, false}) {
+          const size_t mk = static_cast<size_t>(m) * k;
+          const size_t mn = static_cast<size_t>(m) * n;
+          std::vector<float> a = RandomVec(mk, &rng);
+          std::vector<float> b_kn = RandomVec(static_cast<size_t>(k) * n, &rng);
+          std::vector<float> b_nk = RandomVec(static_cast<size_t>(n) * k, &rng);
+          std::vector<float> c0 =
+              zero_c ? std::vector<float>(mn, 0.0f) : RandomVec(mn, &rng);
+          // GemmTN reads A stored [K, M]; row r of the product is column r.
+          std::vector<float> a_km(mk);
+          for (int r = 0; r < m; ++r) {
+            for (int i = 0; i < k; ++i) {
+              a_km[static_cast<size_t>(i) * m + r] =
+                  a[static_cast<size_t>(r) * k + i];
+            }
+          }
+          std::vector<float> nn = c0, nt = c0, tn = c0;
+          GemmNN(a.data(), b_kn.data(), nn.data(), m, k, n);
+          GemmNT(a.data(), b_nk.data(), nt.data(), m, k, n);
+          GemmTN(a_km.data(), b_kn.data(), tn.data(), m, k, n);
+          for (int r = 0; r < m; ++r) {
+            const float* a_row = a.data() + static_cast<size_t>(r) * k;
+            const auto c_row = c0.begin() + static_cast<ptrdiff_t>(r) * n;
+            std::vector<float> nn1(c_row, c_row + n), nt1 = nn1, tn1 = nn1;
+            GemmNN(a_row, b_kn.data(), nn1.data(), 1, k, n);
+            GemmNT(a_row, b_nk.data(), nt1.data(), 1, k, n);
+            GemmTN(a_row, b_kn.data(), tn1.data(), 1, k, n);
+            const auto row = [&](const std::vector<float>& c) {
+              const auto begin = c.begin() + static_cast<ptrdiff_t>(r) * n;
+              return std::vector<float>(begin, begin + n);
+            };
+            const std::string where = "k=" + std::to_string(k) +
+                                      " n=" + std::to_string(n) +
+                                      " m=" + std::to_string(m) +
+                                      " row=" + std::to_string(r) +
+                                      (zero_c ? " zero C" : " non-zero C");
+            ASSERT_EQ(row(nn), nn1) << "GemmNN " << where;
+            ASSERT_EQ(row(nt), nt1) << "GemmNT " << where;
+            ASSERT_EQ(row(tn), tn1) << "GemmTN " << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

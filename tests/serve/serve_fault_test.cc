@@ -5,6 +5,7 @@
 // lane) and an OMNIMATCH_FAULTS-driven lane (see scripts/check.sh).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -132,6 +133,23 @@ std::vector<ScoreRequest> SomePairs(size_t users, size_t items_per_user) {
   return pairs;
 }
 
+/// Submits `first` to a single-executor server with serve_slow armed for
+/// `stall_ms`, and returns once the executor has popped it and entered the
+/// injected sleep (which runs after the pop, outside the queue lock): every
+/// request submitted afterwards queues behind the stalled executor.
+std::future<ScoreResult> StallExecutor(InferenceServer* server,
+                                       const ScoreRequest& first,
+                                       int stall_ms) {
+  EXPECT_TRUE(FaultInjector::Global()
+                  .ArmFromString("serve_slow@0:mag=" + std::to_string(stall_ms))
+                  .ok());
+  std::future<ScoreResult> stalled = server->ScoreAsync(first.user, first.item);
+  while (FaultInjector::Global().fired() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return stalled;
+}
+
 TEST(AdmissionTest, ShutdownRejectsLateRequestsExplicitly) {
   FaultGuard guard;
   FaultWorld& w = World();
@@ -152,68 +170,63 @@ TEST(AdmissionTest, ShutdownRejectsLateRequestsExplicitly) {
 TEST(AdmissionTest, FullQueueRejectsOverloaded) {
   FaultGuard guard;
   FaultWorld& w = World();
-  // The first dispatched batch stalls in an injected serve_slow sleep (the
-  // sleep runs AFTER the pop, outside the queue lock); while the executor
-  // is stuck there the queue (capacity 4) is filled and overfilled. The
-  // fired() spin makes the stall certain before the flood starts, so the
-  // rejection count doesn't depend on scheduling at all.
-  ASSERT_TRUE(
-      FaultInjector::Global().ArmFromString("serve_slow@0:mag=2000").ok());
+  // While the executor is stalled on the first request, the queue
+  // (capacity 4) is filled and overfilled. The stall is certain before the
+  // flood starts, so neither the rejection count nor the tiers depend on
+  // scheduling.
   InferenceServer::Options options;
   options.executors = 1;
-  options.max_batch = 1;
-  options.linger_us = 0;
   options.max_queue = 4;
-  options.degrade_fallback_fill = 1.1;  // keep the tier ladder out of this
-  options.degrade_cached_fill = 1.1;
   InferenceServer server(w.snapshot_a, options);
 
   const std::vector<ScoreRequest> pairs = SomePairs(3, 3);
   ASSERT_GE(pairs.size(), 9u);
+  std::future<ScoreResult> stalled = StallExecutor(&server, pairs[0], 2000);
   std::vector<std::future<ScoreResult>> futures;
-  futures.push_back(server.ScoreAsync(pairs[0].user, pairs[0].item));
-  while (FaultInjector::Global().fired() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   for (size_t i = 1; i < 9; ++i) {
     futures.push_back(server.ScoreAsync(pairs[i].user, pairs[i].item));
   }
-  int ok = 0, overloaded = 0;
+  int queued = 0, overloaded = 0;
   for (auto& f : futures) {
     const ScoreResult r = f.get();
     if (r.status == RequestStatus::kOverloaded) {
       ++overloaded;
       EXPECT_FALSE(r.has_score());
     } else {
-      ++ok;
-      EXPECT_TRUE(r.has_score());
+      // The 4 that fit dispatch as one batch with the queue at 100% fill,
+      // past kDegradeFallbackFill: the model is bypassed.
+      ++queued;
+      EXPECT_EQ(RequestStatus::kDegradedFallback, r.status);
+      EXPECT_EQ(w.snapshot_a->global_mean_rating(), r.score);
     }
   }
-  EXPECT_EQ(5, ok);  // the stalled request plus the 4 that fit in the queue
+  EXPECT_EQ(4, queued);
   EXPECT_EQ(4, overloaded);
+  // Dispatched alone at 25% fill: full fidelity.
+  EXPECT_EQ(RequestStatus::kOk, stalled.get().status);
   EXPECT_EQ(4, server.stats().rejected_overloaded);
-  EXPECT_EQ(5, server.stats().served_full);
+  EXPECT_EQ(1, server.stats().served_full);
+  EXPECT_EQ(4, server.stats().served_degraded_fallback);
+  EXPECT_EQ(2, server.stats().batches_dispatched);
 }
 
 TEST(AdmissionTest, ExpiredRequestsAnsweredDeadlineExceeded) {
   FaultGuard guard;
   FaultWorld& w = World();
-  // First batch is slowed 100ms by an injected fault; the requests queued
-  // behind it carry 5ms deadlines, so they are expired — unscored — when
-  // the executor gets back to the queue.
-  ASSERT_TRUE(
-      FaultInjector::Global().ArmFromString("serve_slow@0:mag=100").ok());
+  // The first request's batch is slowed 250ms by an injected fault; the
+  // requests queued behind it carry 25ms deadlines, so they are expired —
+  // unscored — when the executor gets back to the queue.
   InferenceServer::Options options;
   options.executors = 1;
-  options.max_batch = 1;
-  options.linger_us = 0;
-  options.deadline_ms = 5;
+  options.deadline_ms = 25;
   InferenceServer server(w.snapshot_a, options);
 
   const std::vector<ScoreRequest> pairs = SomePairs(3, 1);
+  ASSERT_EQ(3u, pairs.size());
   std::vector<std::future<ScoreResult>> futures;
-  for (const ScoreRequest& p : pairs) {
-    futures.push_back(server.ScoreAsync(p.user, p.item));
+  futures.push_back(StallExecutor(&server, pairs[0], 250));
+  for (size_t i = 1; i < pairs.size(); ++i) {
+    futures.push_back(server.ScoreAsync(pairs[i].user, pairs[i].item));
   }
   int scored = 0, expired = 0;
   for (auto& f : futures) {
@@ -236,22 +249,18 @@ TEST(DegradationTest, QueuePressureDegradesToGlobalMean) {
   FaultWorld& w = World();
   const std::vector<ScoreRequest> pairs = SomePairs(4, 2);
   ASSERT_GE(pairs.size(), 4u);
+  // Stall the executor, then fill the queue to max_queue behind it: the
+  // next dispatch provably sees the queue at 100% fill when it picks the
+  // tier.
   InferenceServer::Options options;
   options.executors = 1;
-  // Dispatch triggers on the COUNT condition, never the clock: the batch
-  // size equals the submission count, and the linger is far beyond any
-  // plausible scheduling delay, so the executor provably sees the queue at
-  // 100% fill when it picks the tier.
-  options.max_batch = static_cast<int>(pairs.size());
-  options.linger_us = 10000000;
-  options.max_queue = pairs.size();
-  options.degrade_cached_fill = 0.2;
-  options.degrade_fallback_fill = 0.5;
+  options.max_queue = pairs.size() - 1;
   InferenceServer server(w.snapshot_a, options);
 
+  std::future<ScoreResult> stalled = StallExecutor(&server, pairs[0], 200);
   std::vector<std::future<ScoreResult>> futures;
-  for (const ScoreRequest& p : pairs) {
-    futures.push_back(server.ScoreAsync(p.user, p.item));
+  for (size_t i = 1; i < pairs.size(); ++i) {
+    futures.push_back(server.ScoreAsync(pairs[i].user, pairs[i].item));
   }
   for (auto& f : futures) {
     const ScoreResult r = f.get();
@@ -260,9 +269,11 @@ TEST(DegradationTest, QueuePressureDegradesToGlobalMean) {
     EXPECT_EQ(RequestStatus::kDegradedFallback, r.status);
     EXPECT_EQ(w.snapshot_a->global_mean_rating(), r.score);
   }
-  EXPECT_EQ(static_cast<int64_t>(pairs.size()),
+  // The stalled request was dispatched alone, below kDegradeCachedFill.
+  EXPECT_EQ(RequestStatus::kOk, stalled.get().status);
+  EXPECT_EQ(static_cast<int64_t>(options.max_queue),
             server.stats().served_degraded_fallback);
-  EXPECT_EQ(0, server.stats().served_full);
+  EXPECT_EQ(1, server.stats().served_full);
 }
 
 TEST(DegradationTest, ForcedCachedTierServesHitsExactAndMissesMean) {
@@ -270,7 +281,6 @@ TEST(DegradationTest, ForcedCachedTierServesHitsExactAndMissesMean) {
   FaultWorld& w = World();
   InferenceServer::Options options;
   options.executors = 1;
-  options.linger_us = 0;
   InferenceServer server(w.snapshot_a, options);
 
   const std::vector<ScoreRequest> pairs = SomePairs(2, 1);
@@ -304,7 +314,6 @@ TEST(DegradationTest, ForcedFallbackTierBypassesModel) {
   FaultWorld& w = World();
   InferenceServer::Options options;
   options.executors = 1;
-  options.linger_us = 0;
   InferenceServer server(w.snapshot_a, options);
   ASSERT_TRUE(FaultInjector::Global()
                   .ArmFromString("executor_score@0:mag=2,count=1000")
@@ -321,7 +330,6 @@ TEST(SnapshotSwapTest, SwapServesNewVersionAndEvictsStaleEntries) {
   FaultWorld& w = World();
   InferenceServer::Options options;
   options.executors = 2;
-  options.linger_us = 0;
   InferenceServer server(w.snapshot_a, options);
   SnapshotManager manager(&server);
 
@@ -449,16 +457,17 @@ TEST(SnapshotSwapTest, ConcurrentTrafficAcrossSwapIsVersionConsistent) {
     }
   }
 
-  InferenceServer::Options options;
-  options.executors = 4;
-  options.max_batch = 8;
-  options.linger_us = 200;
-  options.cache_capacity = 8;  // churn: evictions while swapping
-  options.max_queue = 0;       // unbounded: every request scores at full tier
-  InferenceServer server(w.snapshot_a, options);
-
   constexpr int kThreads = 4;
   constexpr int kRounds = 6;
+  InferenceServer::Options options;
+  options.executors = 4;
+  options.cache_capacity = 8;  // churn: evictions while swapping
+  // Twice the total submissions: the fill stays under kDegradeCachedFill
+  // however far the executors fall behind, so every request scores at the
+  // full tier.
+  options.max_queue = 2 * kThreads * kRounds * pairs.size();
+  InferenceServer server(w.snapshot_a, options);
+
   struct Got {
     size_t pair = 0;
     std::future<ScoreResult> future;
@@ -524,8 +533,6 @@ TEST(ServeFaultEnvTest, SurvivesEnvArmedFaultsUnderTraffic) {
 
   InferenceServer::Options options;
   options.executors = 4;
-  options.max_batch = 8;
-  options.linger_us = 100;
   options.max_queue = 64;
   options.deadline_ms = 200;
   InferenceServer server(w.snapshot_a, options);

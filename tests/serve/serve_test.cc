@@ -4,6 +4,7 @@
 // suite runs in the TSan lane — see scripts/check.sh).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "core/trainer.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
@@ -123,6 +125,30 @@ std::vector<ScoreRequest> ReferencePairs() {
   add_users(w.split.validation_users, 2);
   add_users(w.split.train_users, 4);
   return pairs;
+}
+
+/// Disarms the global fault registry on entry AND exit so a fault armed by
+/// one test can never leak into the next.
+struct FaultGuard {
+  FaultGuard() { FaultInjector::Global().Disarm(); }
+  ~FaultGuard() { FaultInjector::Global().Disarm(); }
+};
+
+/// Submits `first` to a single-executor server with serve_slow armed for
+/// `stall_ms`, and returns once the executor has popped it and entered the
+/// injected sleep (which runs after the pop, outside the queue lock): every
+/// request submitted afterwards queues behind the stalled executor.
+std::future<ScoreResult> StallExecutor(InferenceServer* server,
+                                       const ScoreRequest& first,
+                                       int stall_ms) {
+  EXPECT_TRUE(FaultInjector::Global()
+                  .ArmFromString("serve_slow@0:mag=" + std::to_string(stall_ms))
+                  .ok());
+  std::future<ScoreResult> stalled = server->ScoreAsync(first.user, first.item);
+  while (FaultInjector::Global().fired() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return stalled;
 }
 
 TEST(ModelSnapshotTest, LoadRejectsFingerprintMismatch) {
@@ -259,16 +285,18 @@ TEST(ScorerTest, EvictionForcesBitIdenticalRecompute) {
 }
 
 TEST(InferenceServerTest, CoalescesBurstIntoFewBatches) {
+  FaultGuard guard;
   ServeWorld& w = World();
-  InferenceServer::Options options;
-  options.max_batch = 32;
-  options.linger_us = 100000;  // 100ms: far above the enqueue loop's cost
-  InferenceServer server(w.snapshot, options);
+  InferenceServer server(w.snapshot, InferenceServer::Options());
 
+  // The burst arrives while the only executor is stalled on the first
+  // request, so it all waits in the queue for the next dispatch.
   std::vector<ScoreRequest> pairs = ReferencePairs();
+  ASSERT_LE(pairs.size() - 1, static_cast<size_t>(InferenceServer::kMaxBatch));
   std::vector<std::future<ScoreResult>> futures;
-  for (const ScoreRequest& p : pairs) {
-    futures.push_back(server.ScoreAsync(p.user, p.item));
+  futures.push_back(StallExecutor(&server, pairs[0], 200));
+  for (size_t i = 1; i < pairs.size(); ++i) {
+    futures.push_back(server.ScoreAsync(pairs[i].user, pairs[i].item));
   }
   std::vector<float> got;
   for (auto& f : futures) {
@@ -280,10 +308,8 @@ TEST(InferenceServerTest, CoalescesBurstIntoFewBatches) {
   server.Shutdown();
 
   EXPECT_EQ(static_cast<int64_t>(pairs.size()), server.stats().requests_served);
-  // The whole burst was enqueued within one linger window, so it must have
-  // coalesced into at most a couple of dispatches (exactly one when the
-  // executor saw the full queue; two if it woke mid-enqueue).
-  EXPECT_LE(server.stats().batches_dispatched, 2);
+  // The stalled request, then the whole burst behind it as ONE batch.
+  EXPECT_EQ(2, server.stats().batches_dispatched);
 
   Scorer reference(w.snapshot, 256);
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -307,8 +333,6 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
   }
 
   InferenceServer::Options options;
-  options.max_batch = 8;
-  options.linger_us = 500;
   options.cache_capacity = 8;  // small: forces evictions under load
   InferenceServer server(w.snapshot, options);
 
@@ -347,23 +371,35 @@ TEST(InferenceServerTest, ConcurrentSubmittersGetBitIdenticalScores) {
 }
 
 TEST(InferenceServerTest, ShutdownDrainsQueuedRequests) {
+  FaultGuard guard;
   ServeWorld& w = World();
-  InferenceServer::Options options;
-  options.max_batch = 4;
-  options.linger_us = 1000000;  // 1s: requests would linger without drain
-  auto server = std::make_unique<InferenceServer>(w.snapshot, options);
-  std::vector<std::future<ScoreResult>> futures;
+  auto server =
+      std::make_unique<InferenceServer>(w.snapshot, InferenceServer::Options());
   const std::vector<ScoreRequest> pairs = ReferencePairs();
-  for (size_t i = 0; i < 6 && i < pairs.size(); ++i) {
+  ASSERT_GE(pairs.size(), 6u);
+  std::vector<std::future<ScoreResult>> futures;
+  futures.push_back(StallExecutor(server.get(), pairs[0], 200));
+  for (size_t i = 1; i < 6; ++i) {
     futures.push_back(server->ScoreAsync(pairs[i].user, pairs[i].item));
   }
-  server->Shutdown();  // must score everything still queued
+  // Shutdown begins while five requests still wait behind the stalled
+  // executor: it must score everything still queued.
+  server->Shutdown();
   for (auto& f : futures) {
     const ScoreResult r = f.get();
     EXPECT_EQ(RequestStatus::kOk, r.status);
     EXPECT_GE(r.score, 1.0f);
     EXPECT_LE(r.score, 5.0f);
   }
+  EXPECT_EQ(6, server->stats().requests_served);
+}
+
+TEST(InferenceServerDeathTest, ZeroMaxQueueRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeWorld& w = World();
+  InferenceServer::Options options;
+  options.max_queue = 0;
+  EXPECT_DEATH(InferenceServer(w.snapshot, options), "max_queue");
 }
 
 }  // namespace
